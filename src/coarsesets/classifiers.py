@@ -22,7 +22,6 @@ SCHEMA = "coarse-sets/1"
 
 def _interior(sample, margin):
     window = sample.window
-    group = sample.group
     els = sample.sorted_elements()
     if window is None:
         return els
@@ -97,7 +96,7 @@ class SparseReport:
 def _translate_intersection(group, F, elements):
     out = None
     for g in F:
-        translated = {group.mul(g, a) for a in elements}
+        translated = group.products((g,), elements)
         out = translated if out is None else out & translated
         if not out:
             break

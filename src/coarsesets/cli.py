@@ -17,7 +17,7 @@ from .geometry import (Radius, cellularity_probe, chain_component, ball,
                        prec_mapping_check, word_radius)
 from .groups import (BudgetExceededError, FiniteSample, GroupError,
                      group_from_spec)
-from .recipes import SetSpec, spec_from_file, spec_from_json
+from .recipes import KINDS, SetSpec, spec_from_file, spec_from_json
 
 SCHEMA = classifiers.SCHEMA
 
@@ -252,8 +252,7 @@ def cmd_density_pwip(args):
 def _add_set_args(p, with_window=True):
     p.add_argument("--set", help="SetSpec JSON file")
     p.add_argument("--group", default="z", help="group spec (z, z^2, z2sum:8, free:2)")
-    p.add_argument("--kind", choices=("explicit", "ip", "pwip", "wn", "cantor",
-                                      "periodic", "powers", "window"))
+    p.add_argument("--kind", choices=KINDS)
     p.add_argument("--generators")
     p.add_argument("--shifts")
     p.add_argument("--elements")

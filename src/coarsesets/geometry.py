@@ -43,7 +43,7 @@ class Radius:
         g = self.group
         wb = word_ball_elements(g, r)
         base = set(self.elements) | {g.identity()}
-        out = {g.mul(w, f) for w in wb for f in base}
+        out = g.products(wb, base)
         label = f"{self.label or 'set'}+wordball:{r}"
         return Radius(g, frozenset(out), label)
 
@@ -59,15 +59,11 @@ def word_radius(group, r):
     return Radius(group, word_ball_elements(group, r), f"wordball:{r}")
 
 
-def radius_from_elements(group, elements, label=None):
-    return Radius(group, frozenset(elements), label)
-
-
 def ball(group, g, radius):
     """B(g, F) = F.g u {g}."""
     if radius.group != group:
         raise GroupError("radius belongs to a different group")
-    out = {group.mul(f, g) for f in radius.elements}
+    out = group.products(radius.elements, (g,))
     out.add(g)
     return frozenset(out)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add
 
 WINDOW_CAP = 10**7
 
@@ -69,6 +70,14 @@ class Group:
         """a * b^-1."""
         return self.mul(a, self.inv(b))
 
+    def products(self, lefts, rights):
+        """The set {a * b : a in lefts, b in rights}, equal to the set of
+        ``mul(a, b)``.  ``rights`` is iterated once per left factor, so it
+        must be a collection.  Families override this with a bulk kernel
+        that skips the per-pair method call."""
+        mul = self.mul
+        return {mul(a, b) for a in lefts for b in rights}
+
     def __repr__(self):
         return f"Group({self.spec!r})"
 
@@ -86,6 +95,9 @@ class IntGroup(Group):
 
     def mul(self, a, b):
         return a + b
+
+    def products(self, lefts, rights):
+        return {a + b for a in lefts for b in rights}
 
     def inv(self, a):
         return -a
@@ -128,7 +140,7 @@ class LatticeGroup(Group):
         return (0,) * self.d
 
     def mul(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(add, a, b))
 
     def inv(self, a):
         return tuple(-x for x in a)
@@ -188,6 +200,9 @@ class XorGroup(Group):
 
     def mul(self, a, b):
         return a ^ b
+
+    def products(self, lefts, rights):
+        return {a ^ b for a in lefts for b in rights}
 
     def inv(self, a):
         return a
@@ -255,7 +270,14 @@ class FreeGroup(Group):
         return ""
 
     def mul(self, a, b):
-        return reduce_word(a + b)
+        # Every element is a reduced word (parse reduces, validate rejects
+        # unreduced words, and products of reduced words are reduced), so
+        # letters can cancel only where the two words meet.
+        n = min(len(a), len(b))
+        i = 0
+        while i < n and a[-1 - i] == b[i].swapcase():
+            i += 1
+        return a[:len(a) - i] + b[i:]
 
     def inv(self, a):
         return a[::-1].swapcase()

@@ -187,7 +187,7 @@ class PwipWitness:
 def _quotient_pool(group, elements, cap):
     """Candidate generator pool: quotients y.x^-1 of sample elements,
     deterministically truncated."""
-    pool = {group.div(y, x) for x in elements for y in elements}
+    pool = group.products(elements, [group.inv(x) for x in elements])
     ordered = sorted(pool, key=group.sort_key)
     return ordered[:cap]
 
@@ -222,13 +222,14 @@ def detect_pwip(sample, depth, scale=None, pool_cap=4096):
                     products[(0,)] = x0
                     return gens, products
             return None
+        taken = set(products.values())
+        # prefix entries not ending in index stage - 1; fixed for every xj
+        items = [(S, p) for S, p in prefix.items()
+                 if not (S and S[-1] == stage - 1)]
         for xj in ordered:
             part1 = {}
             ok = True
-            taken = set(products.values())
-            for S, p in prefix.items():
-                if S and S[-1] == stage - 1:
-                    continue
+            for S, p in items:
                 v = group.mul(p, xj)
                 if v not in elems or v in taken or v in part1.values():
                     ok = False
@@ -237,15 +238,14 @@ def detect_pwip(sample, depth, scale=None, pool_cap=4096):
             if not ok:
                 continue
             taken1 = taken | set(part1.values())
+            xj_inv = group.inv(xj)
             for t in ordered:
-                gj = group.div(t, xj)
+                gj = group.mul(t, xj_inv)
                 if gj not in pool or gj in gens:
                     continue
                 part2 = {}
                 ok2 = True
-                for S, p in prefix.items():
-                    if S and S[-1] == stage - 1:
-                        continue
+                for S, p in items:
                     v = group.mul(p, t)
                     if v not in elems or v in taken1 or v in part2.values():
                         ok2 = False
@@ -254,9 +254,7 @@ def detect_pwip(sample, depth, scale=None, pool_cap=4096):
                 if not ok2:
                     continue
                 new_prefix = dict(prefix)
-                for S, p in prefix.items():
-                    if S and S[-1] == stage - 1:
-                        continue
+                for S, p in items:
                     new_prefix[S + (stage - 1,)] = group.mul(p, gj)
                 new_products = dict(products)
                 new_products.update(part1)

@@ -42,6 +42,43 @@ def test_render_parse_round_trip(group, elements, data):
     assert group.parse(group.render(a)) == a
 
 
+@pytest.mark.parametrize("group,elements", groups_and_element_strategies(),
+                         ids=lambda v: getattr(v, "spec", ""))
+@given(data=st.data())
+def test_products_equal_pairwise_mul(group, elements, data):
+    lefts = data.draw(st.lists(elements, max_size=6))
+    rights = data.draw(st.lists(elements, max_size=6))
+    # right factors a^-1 and a^-1.b cancel a left factor a fully or in part
+    rights += [group.inv(a) for a in lefts]
+    rights += [group.mul(group.inv(a), b) for a in lefts for b in rights[:3]]
+    expected = {group.mul(a, b) for a in lefts for b in rights}
+    assert group.products(lefts, rights) == expected
+
+
+def test_products_wide_masks_and_free_junctions():
+    x = XorGroup(4)
+    wide = [0b1, 0b1000000, 0b1010101010101]     # wider than m = 4
+    assert x.products(wide, [0b1000001]) == {0b1000000, 0b1, 0b1010100010100}
+    f = FreeGroup(3)
+    assert f.products(["abc"], ["CBA", "CBa", "Cb", "a"]) == {"", "aa", "abb", "abca"}
+
+
+@given(data=st.data())
+def test_mul_matches_reference_definitions(data):
+    lattice = LatticeGroup(3)
+    point = st.tuples(*[st.integers(-1000, 1000)] * 3)
+    a, b = data.draw(point), data.draw(point)
+    assert lattice.mul(a, b) == tuple(x + y for x, y in zip(a, b))
+    free = FreeGroup(3)
+    word = st.text(alphabet="abcABC", max_size=8).map(reduce_word)
+    u, w = data.draw(word), data.draw(word)
+    k = data.draw(st.integers(0, len(u)))
+    # v starts with the last k letters of u inverted, so u.v cancels there
+    v = reduce_word(free.inv(u)[:k] + w)
+    for right in (w, v, free.inv(u)):
+        assert free.mul(u, right) == reduce_word(u + right)
+
+
 @given(st.text(alphabet="abcABC", max_size=20))
 def test_free_reduction_idempotent(word):
     once = reduce_word(word)

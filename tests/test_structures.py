@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coarsesets.groups import (FiniteSample, FreeGroup, GroupError, IntGroup,
-                               Window, XorGroup)
-from coarsesets.structures import (NestedChain, cantor_offsets,
+                               LatticeGroup, Window, XorGroup)
+from coarsesets.structures import (NestedChain, _quotient_pool, cantor_offsets,
                                    detect_pwip, extract_pwip_from_chain,
                                    gen_cantor_geodesic, gen_ip, gen_pwip,
                                    gen_wn)
@@ -94,6 +94,24 @@ def test_cantor_geodesic_block_sizes():
         o = offs[n - 1]
         block = [x for x in sample.elements if o <= x <= o + 3**n]
         assert len(block) == 2**n
+
+
+@pytest.mark.parametrize("group,extent,cap,truncated", [
+    (Z, 300, 512, True),
+    (Z, 300, 4096, False),
+    (LatticeGroup(2), 3, 40, True),
+    (LatticeGroup(2), 3, 4096, False),
+    (XorGroup(5), 5, 10, True),
+    (XorGroup(5), 5, 4096, False),
+    (FreeGroup(2), 2, 50, True),
+    (FreeGroup(2), 2, 4096, False),
+], ids=lambda v: getattr(v, "spec", str(v)))
+def test_quotient_pool_matches_pairwise_quotients(group, extent, cap, truncated):
+    elements = sorted(Window(group, extent).elements(), key=group.sort_key)
+    full = sorted({group.div(y, x) for x in elements for y in elements},
+                  key=group.sort_key)
+    assert (len(full) > cap) == truncated
+    assert _quotient_pool(group, elements, cap) == full[:cap]
 
 
 def test_detect_pwip_recovers_generated_set():
