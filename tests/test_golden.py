@@ -1,0 +1,143 @@
+"""Golden outputs: the sha256 of stdout and the exit code of fixed CLI runs.
+
+The hashes in ``golden_sha256.json`` pin the JSON the CLI prints for the
+acceptance battery and for one input per group family, so a refactor
+that changes any byte of a report fails here.  After an intended output
+change, regenerate the file with ``PYTHONPATH=src python tests/test_golden.py``
+and say in the change log which outputs moved.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+
+import pytest
+
+from coarsesets.cli import run
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN_PATH = os.path.join(HERE, "golden_sha256.json")
+
+# The acceptance battery of test_acceptance.py, as recipe files.
+BATTERY = {
+    "powers-of-2": {"group": "z", "kind": "powers", "base": 2, "window": 512},
+    "powers-of-4": {"group": "z", "kind": "powers", "base": 4, "window": 512},
+    "w2-sample": {"group": "z2sum:8", "kind": "wn", "support": 2},
+    "cantor-auto": {"group": "z", "kind": "cantor", "levels": "auto",
+                    "window": 500},
+    "z-window": {"group": "z", "kind": "window", "window": 128},
+    "evens": {"group": "z", "kind": "periodic", "modulus": 2,
+              "residues": ["0"], "window": 256},
+    "pwip-output": {"group": "z", "kind": "pwip",
+                    "generators": ["1", "300", "90000"],
+                    "shifts": ["0", "0", "0"]},
+}
+
+LATTICE_SET = {"group": "z^2", "kind": "explicit",
+               "elements": ["0,0", "1,0", "2,1", "5,5", "6,5", "20,0", "-3,7"]}
+FREE_SET = {"group": "free:2", "kind": "explicit",
+            "elements": ["e", "a", "aa", "ab", "b", "bab", "BAbb", "AAA"]}
+
+# name -> (argv, recipe written to the file that "{set}" names, or None)
+CASES = {}
+for _name, _recipe in BATTERY.items():
+    for _budget in ("small", "medium"):
+        CASES[f"classify/{_name}/{_budget}"] = (
+            ["classify", "--set", "{set}", "--budget", _budget], _recipe)
+
+CASES.update({
+    # z
+    "gen/z": (["gen", "--group", "z", "--kind", "powers", "--base", "3",
+               "--window", "300"], None),
+    "ball/z": (["ball", "--group", "z", "--center", "5",
+                "--radius=-2,1,3"], None),
+    "chain/z": (["chain", "--group", "z", "--kind", "explicit", "--elements",
+                 "0,1,3,4,9,10,30", "--start", "3", "--radius=-1,1,2"], None),
+    "thin/z": (["thin", "--group", "z", "--kind", "powers", "--base", "4",
+                "--window", "512", "--radius=-1,1"], None),
+    "cellular/z": (["cellular", "--group", "z", "--kind", "window",
+                    "--window", "64", "--radius", "wordball:1",
+                    "--budget", "small"], None),
+    # z^2, with ';' between the elements of a radius literal
+    "gen/z^2": (["gen", "--group", "z^2", "--kind", "window", "--window",
+                 "2"], None),
+    "ball/z^2": (["ball", "--group", "z^2", "--center", "1,2",
+                  "--radius", "1,0;0,1;-1,-1"], None),
+    "chain/z^2": (["chain", "--group", "z^2", "--kind", "window", "--window",
+                   "3", "--start", "0,0", "--radius", "2,0;0,2"], None),
+    "thin/z^2": (["thin", "--set", "{set}", "--radius", "1,0;0,1",
+                  "--budget", "small"], LATTICE_SET),
+    "cellular/z^2": (["cellular", "--set", "{set}", "--radius", "1,0;-1,0",
+                      "--budget", "small"], LATTICE_SET),
+    # z2sum
+    "gen/z2sum": (["gen", "--group", "z2sum:6", "--kind", "wn", "--support",
+                   "2"], None),
+    "ball/z2sum": (["ball", "--group", "z2sum:8", "--center", "1100",
+                    "--radius", "wordball:2"], None),
+    "chain/z2sum": (["chain", "--group", "z2sum:6", "--kind", "explicit",
+                     "--elements", "000000,100000,110000,000111,111111",
+                     "--start", "000000", "--radius", "100000,010000"], None),
+    "thin/z2sum": (["thin", "--group", "z2sum:8", "--kind", "wn",
+                    "--support", "2", "--radius", "wordball:1",
+                    "--budget", "small"], None),
+    "cellular/z2sum": (["cellular", "--group", "z2sum:6", "--kind", "wn",
+                        "--support", "1", "--radius", "wordball:1",
+                        "--budget", "small"], None),
+    # free:2
+    "gen/free": (["gen", "--group", "free:2", "--kind", "window", "--window",
+                  "3"], None),
+    "ball/free": (["ball", "--group", "free:2", "--center", "ab",
+                   "--radius", "wordball:2"], None),
+    "chain/free": (["chain", "--set", "{set}", "--start", "e",
+                    "--radius", "a,b"], FREE_SET),
+    "thin/free": (["thin", "--set", "{set}", "--radius", "wordball:1",
+                   "--budget", "small"], FREE_SET),
+    "cellular/free": (["cellular", "--set", "{set}", "--radius", "a,A",
+                       "--budget", "small"], FREE_SET),
+})
+
+
+def run_case(name, directory):
+    """(exit code, sha256 of stdout) of one case; recipe files go to
+    ``directory``."""
+    argv, recipe = CASES[name]
+    if recipe is not None:
+        path = os.path.join(directory, "recipe.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(recipe, fh)
+        argv = [path if a == "{set}" else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+def _golden():
+    with open(GOLDEN_PATH, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_golden_covers_every_case():
+    assert sorted(_golden()) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, tmp_path):
+    expected = _golden()[name]
+    code, digest = run_case(name, str(tmp_path))
+    assert (code, digest) == (expected["exit"], expected["stdout_sha256"])
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    table = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            code, digest = run_case(case, tmp)
+            table[case] = {"exit": code, "stdout_sha256": digest}
+    with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
+        json.dump(table, fh, indent=1, sort_keys=True)
+        fh.write("\n")
