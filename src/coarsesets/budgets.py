@@ -26,22 +26,8 @@ class Scale:
     max_depth: int
 
     def ladder_for(self, group):
-        """The ladder adapted to the group family.
-
-        Free-group word balls grow exponentially, so the ladder is
-        clamped to consecutive small radii there; z2sum word balls
-        saturate at the coordinate count.
-        """
-        if group.family == "FREE":
-            return tuple(range(1, len(self.ladder) + 1))
-        if group.family == "Z2SUM":
-            out = []
-            for t in self.ladder:
-                v = min(t, group.m)
-                if v not in out:
-                    out.append(v)
-            return tuple(out)
-        return self.ladder
+        """The ladder adapted to the group family (``Group.clamp_ladder``)."""
+        return group.clamp_ladder(self.ladder)
 
     def margin_for(self, group):
         return self.f_max + self.ladder_for(group)[-1]

@@ -20,14 +20,6 @@ from .groups import FiniteSample, GroupError
 SCHEMA = "coarse-sets/1"
 
 
-def _interior(sample, margin):
-    window = sample.window
-    els = sample.sorted_elements()
-    if window is None:
-        return els
-    return [y for y in els if window.is_interior(y, margin)]
-
-
 @dataclass(frozen=True)
 class ThinReport:
     f_label: str
@@ -54,13 +46,13 @@ def thin_degree(sample, radius, scale):
         raise GroupError("thin degree needs a nonempty sample")
     group = sample.group
     margin = scale.margin_for(group)
-    if sample.window is not None and not _interior(sample, margin):
+    if sample.window is not None and not sample.interior(margin):
         raise GroupError("window too small for the interior margin")
     outer = sample.resample(sample.window.enlarged()) if sample.window else sample
     inner_sizes = {y: len(restricted_ball(sample, y, radius))
-                   for y in _interior(sample, margin)}
+                   for y in sample.interior(margin)}
     outer_sizes = {y: len(restricted_ball(outer, y, radius))
-                   for y in _interior(outer, margin)}
+                   for y in outer.interior(margin)}
     cap = max(list(inner_sizes.values()) + list(outer_sizes.values()))
     for n in range(1, cap + 1):
         exc_in = {y for y, s in inner_sizes.items() if s > n}
@@ -112,7 +104,7 @@ def sparse_witness(sample, xset, scale, max_size=3, threshold=None):
     size against the sample regenerated in the enlarged window.
     """
     group = sample.group
-    X = xset.elements if isinstance(xset, FiniteSample) else frozenset(xset)
+    X = xset.elements
     if not X:
         raise GroupError("sparse witness needs a nonempty X")
     window = sample.window
@@ -178,7 +170,7 @@ def isolated_balls_verdict(sample, scale, ambient=None):
     if ambient is not None and not sample.elements <= ambient.elements:
         raise GroupError("sample must lie inside the ambient set")
     margin = scale.margin_for(group)
-    interior = _interior(sample, margin)
+    interior = sample.interior(margin)
     if not interior:
         raise GroupError("interior empty at the requested margin")
     refutations = []

@@ -32,15 +32,12 @@ class CliError(Exception):
 
 
 def _parse_radius(group, text):
-    """Radius literal: ``wordball:r`` or a comma-separated element list."""
+    """Radius literal: ``wordball:r`` or a list of elements separated by
+    ``group.radius_separator`` (``;`` for z^d, whose elements hold commas)."""
     text = text.strip()
     if text.startswith("wordball:"):
         return word_radius(group, int(text.split(":", 1)[1]))
-    if group.family == "Z_POW_D":
-        # lattice elements contain commas; use ; between elements
-        parts = [p for p in text.split(";") if p]
-    else:
-        parts = [p for p in text.split(",") if p]
+    parts = [p for p in text.split(group.radius_separator) if p]
     if not parts:
         return Radius(group, frozenset(), "{}")
     return Radius(group, frozenset(group.parse(p) for p in parts))
@@ -92,6 +89,12 @@ def _emit(report, args):
     print(text)
     verdict = report.get("verdict")
     return 1 if verdict in NEGATIVE_VERDICTS else 0
+
+
+def _emit_report(rep, group, args):
+    """Emit a report object's JSON under the schema and group header."""
+    return _emit({"schema": SCHEMA, "group": group.spec,
+                  **rep.to_json_dict(group)}, args)
 
 
 def _sample_json(sample):
@@ -150,15 +153,14 @@ def cmd_cellular(args):
     group = sample.group
     radius = _parse_radius(group, args.radius)
     rep = cellularity_probe(sample, radius, budgets.preset(args.budget))
-    report = {"schema": SCHEMA, "group": group.spec,
-              **rep.to_json_dict(group)}
-    report["verdict"] = rep.verdict
-    return _emit(report, args)
+    return _emit_report(rep, group, args)
 
 
 def cmd_prec(args):
     with open(args.map, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict) or not isinstance(data.get("pairs"), dict):
+        raise GroupError("map file must be a JSON object whose 'pairs' is an object")
     group = group_from_spec(data.get("domain_group", "z"))
     cod = group_from_spec(data.get("codomain_group", data.get("domain_group", "z")))
     mapping = {group.parse(k): cod.parse(v) for k, v in data["pairs"].items()}
@@ -167,9 +169,7 @@ def cmd_prec(args):
     radius = _parse_radius(group, args.radius)
     rep = prec_mapping_check(mapping, domain, radius,
                              budgets.preset(args.budget), codomain=cod)
-    report = {"schema": SCHEMA, "group": group.spec, **rep.to_json_dict(group)}
-    report["verdict"] = rep.verdict
-    return _emit(report, args)
+    return _emit_report(rep, group, args)
 
 
 def cmd_detect_pwip(args):
@@ -198,8 +198,7 @@ def cmd_thin(args):
     group = sample.group
     radius = _parse_radius(group, args.radius)
     rep = classifiers.thin_degree(sample, radius, budgets.preset(args.budget))
-    report = {"schema": SCHEMA, "group": group.spec, **rep.to_json_dict(group)}
-    return _emit(report, args)
+    return _emit_report(rep, group, args)
 
 
 def cmd_sparse(args):
@@ -211,8 +210,7 @@ def cmd_sparse(args):
     else:
         xsample = sample
     rep = classifiers.sparse_witness(sample, xsample, budgets.preset(args.budget))
-    report = {"schema": SCHEMA, "group": group.spec, **rep.to_json_dict(group)}
-    return _emit(report, args)
+    return _emit_report(rep, group, args)
 
 
 def cmd_scattered(args):
@@ -223,8 +221,7 @@ def cmd_scattered(args):
         ambient = spec_from_file(args.ambient).resolve(group, sample.window)
     rep = classifiers.isolated_balls_verdict(
         sample, budgets.preset(args.budget), ambient=ambient)
-    report = {"schema": SCHEMA, "group": group.spec, **rep.to_json_dict(group)}
-    return _emit(report, args)
+    return _emit_report(rep, group, args)
 
 
 def _density_recipe(args):
@@ -243,7 +240,8 @@ def cmd_density(args):
 def cmd_density_pwip(args):
     recipe = _density_recipe(args)
     rep = density.density_pwip_experiment(
-        recipe, args.depth, window_extent=args.window or 100,
+        recipe, args.depth,
+        window_extent=100 if args.window is None else args.window,
         scale=budgets.preset(args.budget))
     report = {"schema": SCHEMA, **rep}
     return _emit(report, args)

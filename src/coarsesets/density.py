@@ -59,7 +59,7 @@ def upper_density_profile(recipe, n_max, step=None):
     estimate is the tail-half maximum of count/(2n+1)."""
     if not 1 <= n_max <= 10**7:
         raise GroupError("n_max must be in 1..10^7")
-    if recipe.group_spec != "z":
+    if not isinstance(recipe.group(), IntGroup):
         raise GroupError("density profiles require the group z")
     if step is None:
         step = max(n_max // 100, 1)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .groups import FiniteSample, GroupError, word_ball_elements
+from .groups import GroupError, word_ball_elements
 
 
 @dataclass(frozen=True)
@@ -70,55 +70,45 @@ def ball(group, g, radius):
 
 def restricted_ball(sample, g, radius):
     """B_Y(g, F) = Y n B(g, F); g need not lie in Y."""
-    elems = sample.elements if isinstance(sample, FiniteSample) else sample
-    group = sample.group if isinstance(sample, FiniteSample) else radius.group
-    return ball(group, g, radius) & elems
+    return ball(sample.group, g, radius) & sample.elements
 
 
-def _as_set(sample):
-    return sample.elements if isinstance(sample, FiniteSample) else frozenset(sample)
-
-
-def chain_component(sample, a, radius):
-    """All b in A reachable from a by K-chains inside A (K symmetrized)."""
-    A = _as_set(sample)
-    if a not in A:
-        raise GroupError("chain start element not in the sample")
-    group = sample.group if isinstance(sample, FiniteSample) else radius.group
-    K = radius.symmetrize()
+def _chain_bfs(sample, a, K):
+    """The elements of the sample reachable from a by steps x -> k.x
+    (k in the symmetric radius K) that stay inside the sample.  One
+    element at a time: expanding whole frontiers with ``products``
+    costs more memory on large samples."""
+    A = sample.elements
+    mul = sample.group.mul
     seen = {a}
     queue = deque([a])
     while queue:
         x = queue.popleft()
         for k in K.elements:
-            y = group.mul(k, x)
+            y = mul(k, x)
             if y in A and y not in seen:
                 seen.add(y)
                 queue.append(y)
     return frozenset(seen)
 
 
+def chain_component(sample, a, radius):
+    """All b in A reachable from a by K-chains inside A (K symmetrized)."""
+    if a not in sample.elements:
+        raise GroupError("chain start element not in the sample")
+    return _chain_bfs(sample, a, radius.symmetrize())
+
+
 def chain_partition(sample, radius):
     """Chain components of the whole sample, as a list of frozensets."""
-    A = _as_set(sample)
-    group = sample.group if isinstance(sample, FiniteSample) else radius.group
     K = radius.symmetrize()
-    remaining = set(A)
+    covered = set()
     comps = []
-    for a in sorted(A, key=group.sort_key):
-        if a not in remaining:
-            continue
-        seen = {a}
-        queue = deque([a])
-        while queue:
-            x = queue.popleft()
-            for k in K.elements:
-                y = group.mul(k, x)
-                if y in remaining and y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        remaining -= seen
-        comps.append(frozenset(seen))
+    for a in sample.sorted_elements():
+        if a not in covered:
+            comp = _chain_bfs(sample, a, K)
+            covered |= comp
+            comps.append(comp)
     return comps
 
 
@@ -151,7 +141,6 @@ def cellularity_probe(sample, radius, scale):
     if not sample.elements:
         raise GroupError("cellularity probe needs a nonempty sample")
     group = sample.group
-    window = sample.window
     margin = scale.margin_for(group)
     sym = radius.is_symmetric()
     comps = chain_partition(sample, radius)
@@ -159,8 +148,7 @@ def cellularity_probe(sample, radius, scale):
     for comp in comps:
         for el in comp:
             comp_of[el] = comp
-    interior = [a for a in sample.sorted_elements()
-                if window is None or window.is_interior(a, margin)]
+    interior = sample.interior(margin)
     best_needed = 0
     offender = None
     for a in interior:
@@ -211,32 +199,21 @@ def prec_mapping_check(mapping, domain, radius, scale, codomain=None):
     cod = codomain or group
     if not set(mapping) <= domain.elements:
         raise GroupError("mapping domain is not inside the declared sample")
-    window = domain.window
-    margin = scale.margin_for(group)
     X = frozenset(mapping)
-    interior = [x for x in sorted(X, key=group.sort_key)
-                if window is None or window.is_interior(x, margin)]
-    for r in range(1, scale.kprime_max + 1):
-        K = word_radius(cod, r)
-        ok = True
+    interior = [x for x in domain.interior(scale.margin_for(group))
+                if x in X]
+
+    def offender(K):
+        """The first interior x with f(B_X(x,F)) outside B(f(x),K)."""
         for x in interior:
-            fx = mapping[x]
-            target = ball(cod, fx, K)
-            for x2 in ball(group, x, radius) & X:
-                if mapping[x2] not in target:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+            target = ball(cod, mapping[x], K)
+            if any(mapping[x2] not in target for x2 in ball(group, x, radius) & X):
+                return x
+        return None
+
+    for r in range(1, scale.kprime_max + 1):
+        witness = offender(word_radius(cod, r))
+        if witness is None:
             return PrecReport(radius.describe(), "PREC", f"wordball:{r}",
                               None, len(interior))
-    witness = None
-    K = word_radius(cod, scale.kprime_max)
-    for x in interior:
-        fx = mapping[x]
-        target = ball(cod, fx, K)
-        if any(mapping[x2] not in target for x2 in ball(group, x, radius) & X):
-            witness = x
-            break
     return PrecReport(radius.describe(), "NOT_PREC", None, witness, len(interior))

@@ -7,14 +7,18 @@ width m), and free groups ``free:k`` (reduced words, uppercase letters
 are inverses).
 
 Elements are plain payloads (int, tuple of ints, int bit mask, str);
-all operations live on the Group object, which is immutable.
+all operations live on the Group object, which is immutable.  Everything
+that differs between families (arithmetic, encodings, word balls, the
+finite windows a Window forwards to, budget ladders, the default window)
+is a method or attribute of the family's Group subclass, so a new family
+is one new subclass.
 """
 
 from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from operator import add
 
 WINDOW_CAP = 10**7
@@ -30,9 +34,12 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class Group:
-    """Base class; subclasses implement the carrier operations."""
+    """Base class; subclasses implement the carrier operations and the
+    family's window geometry."""
 
     family = "?"
+    default_extent = None        # window extent of recipes that name none
+    radius_separator = ","       # between the elements of a radius literal
 
     @property
     def spec(self):
@@ -63,6 +70,32 @@ class Group:
         """Canonical symmetric generating set (defines word balls)."""
         raise NotImplementedError
 
+    def word_ball(self, r):
+        """All elements of word length <= r (r >= 0)."""
+        raise NotImplementedError
+
+    def window_size(self, extent):
+        raise NotImplementedError
+
+    def window_elements(self, extent):
+        raise NotImplementedError
+
+    def window_interior(self, extent, el, margin):
+        raise NotImplementedError
+
+    def window_contains(self, extent, el):
+        # the word ball of radius 0 around el is {el}
+        return self.window_interior(extent, el, 0)
+
+    def enlarged_extent(self, extent):
+        # Z-like windows grow by 4x so that generated sets whose blocks
+        # grow geometrically (base 3) gain at least one new block
+        return extent * 4
+
+    def clamp_ladder(self, ladder):
+        """The thickening ladder of a Scale, adapted to this family."""
+        return ladder
+
     def window(self, extent):
         return Window(self, int(extent))
 
@@ -85,6 +118,7 @@ class Group:
 @dataclass(frozen=True)
 class IntGroup(Group):
     family = "Z"
+    default_extent = 512
 
     @property
     def spec(self):
@@ -122,11 +156,25 @@ class IntGroup(Group):
     def generators(self):
         return (1, -1)
 
+    def word_ball(self, r):
+        return frozenset(range(-r, r + 1))
+
+    def window_size(self, extent):
+        return 2 * extent + 1
+
+    def window_elements(self, extent):
+        return range(-extent, extent + 1)
+
+    def window_interior(self, extent, el, margin):
+        return abs(el) <= extent - margin
+
 
 @dataclass(frozen=True)
 class LatticeGroup(Group):
     d: int
     family = "Z_POW_D"
+    radius_separator = ";"       # lattice elements contain commas
+    default_extent = 64
 
     def __post_init__(self):
         if self.d < 1:
@@ -172,6 +220,23 @@ class LatticeGroup(Group):
             gens.append(unit)
             gens.append(self.inv(unit))
         return tuple(gens)
+
+    def word_ball(self, r):
+        # (prefix, word length left) pairs, one coordinate at a time
+        points = [((), r)]
+        for _ in range(self.d):
+            points = [(p + (x,), left - abs(x)) for p, left in points
+                      for x in range(-left, left + 1)]
+        return frozenset(p for p, _ in points)
+
+    def window_size(self, extent):
+        return (2 * extent + 1) ** self.d
+
+    def window_elements(self, extent):
+        return product(range(-extent, extent + 1), repeat=self.d)
+
+    def window_interior(self, extent, el, margin):
+        return all(abs(x) <= extent - margin for x in el)
 
 
 @dataclass(frozen=True)
@@ -231,6 +296,41 @@ class XorGroup(Group):
     def generators(self):
         return tuple(1 << j for j in range(self.m))
 
+    @property
+    def default_extent(self):
+        return self.m
+
+    def word_ball(self, r):
+        """Masks on the m declared coordinates with support <= r: sums
+        of at most r distinct generators."""
+        units = self.generators()
+        return frozenset(sum(combo) for j in range(min(r, self.m) + 1)
+                         for combo in combinations(units, j))
+
+    def window_size(self, extent):
+        return 2 ** extent
+
+    def window_elements(self, extent):
+        return range(2 ** extent)
+
+    def window_contains(self, extent, el):
+        return el >> extent == 0
+
+    def window_interior(self, extent, el, margin):
+        return True
+
+    def enlarged_extent(self, extent):
+        return extent + 2
+
+    def clamp_ladder(self, ladder):
+        # word balls saturate at the coordinate count
+        out = []
+        for t in ladder:
+            v = min(t, self.m)
+            if v not in out:
+                out.append(v)
+        return tuple(out)
+
     @staticmethod
     def support(el):
         return el.bit_count()
@@ -254,6 +354,7 @@ def reduce_word(word):
 class FreeGroup(Group):
     rank: int
     family = "FREE"
+    default_extent = 8
 
     def __post_init__(self):
         if not 1 <= self.rank <= 26:
@@ -313,9 +414,39 @@ class FreeGroup(Group):
             gens.append(ch.upper())
         return tuple(gens)
 
+    def word_ball(self, r):
+        out = {""}
+        frontier = [""]
+        gens = self.generators()
+        for _ in range(r):
+            frontier = [w + g for w in frontier for g in gens
+                        if w[-1:] != g.swapcase()]
+            out.update(frontier)
+        return frozenset(out)
+
+    def window_size(self, extent):
+        # the sphere of radius i holds 2k(2k-1)^(i-1) reduced words
+        k2 = 2 * self.rank
+        return 1 + sum(k2 * (k2 - 1) ** (i - 1) for i in range(1, extent + 1))
+
+    def window_elements(self, extent):
+        return self.word_ball(extent)
+
+    def window_interior(self, extent, el, margin):
+        return len(el) <= extent - margin
+
+    def enlarged_extent(self, extent):
+        return extent + 1
+
+    def clamp_ladder(self, ladder):
+        # word balls grow exponentially: consecutive small radii instead
+        return tuple(range(1, len(ladder) + 1))
+
 
 def group_from_spec(spec):
     """Parse a group spec string: ``z``, ``z^2``, ``z2sum:16``, ``free:2``."""
+    if not isinstance(spec, str):
+        raise GroupError(f"group spec must be a string, got {type(spec).__name__}")
     spec = spec.strip().lower()
     if spec == "z":
         return IntGroup()
@@ -343,132 +474,43 @@ class Window:
 
     extent means: interval radius (Z), box radius (Z^d), coordinate
     count (Z2SUM: carrier = all masks on that many coordinates), word
-    length bound (FREE).
+    length bound (FREE).  The group defines each method.
     """
 
     group: Group
     extent: int
 
+    def __post_init__(self):
+        if self.extent < 0:
+            raise GroupError(f"window extent must be >= 0, got {self.extent}")
+
     def size(self):
-        g = self.group
-        if g.family == "Z":
-            return 2 * self.extent + 1
-        if g.family == "Z_POW_D":
-            return (2 * self.extent + 1) ** g.d
-        if g.family == "Z2SUM":
-            return 2 ** self.extent
-        k = g.rank
-        total = 1
-        run = 1
-        for _ in range(self.extent):
-            run = run * (2 * k - 1) if run > 1 else 2 * k
-            total += run
-        return total
+        return self.group.window_size(self.extent)
 
     def contains(self, el):
-        g = self.group
-        if g.family == "Z":
-            return -self.extent <= el <= self.extent
-        if g.family == "Z_POW_D":
-            return all(-self.extent <= x <= self.extent for x in el)
-        if g.family == "Z2SUM":
-            return el >> self.extent == 0
-        return len(el) <= self.extent
+        return self.group.window_contains(self.extent, el)
 
     def is_interior(self, el, margin):
         """True when every ball of word radius ``margin`` around el fits."""
-        g = self.group
-        if g.family == "Z":
-            return abs(el) <= self.extent - margin
-        if g.family == "Z_POW_D":
-            return all(abs(x) <= self.extent - margin for x in el)
-        if g.family == "Z2SUM":
-            return True
-        return len(el) <= self.extent - margin
+        return self.group.window_interior(self.extent, el, margin)
 
     def elements(self):
-        g = self.group
-        if self.size() > WINDOW_CAP:
+        size = self.size()
+        if size > WINDOW_CAP:
             raise BudgetExceededError(
-                f"window of {self.size()} elements exceeds cap {WINDOW_CAP}")
-        if g.family == "Z":
-            yield from range(-self.extent, self.extent + 1)
-        elif g.family == "Z_POW_D":
-            def rec(prefix, depth):
-                if depth == g.d:
-                    yield tuple(prefix)
-                    return
-                for x in range(-self.extent, self.extent + 1):
-                    yield from rec(prefix + [x], depth + 1)
-            yield from rec([], 0)
-        elif g.family == "Z2SUM":
-            yield from range(2 ** self.extent)
-        else:
-            frontier = [""]
-            yield ""
-            for _ in range(self.extent):
-                nxt = []
-                for w in frontier:
-                    for letter in g.generators():
-                        if w and w[-1] == letter.swapcase():
-                            continue
-                        nxt.append(w + letter)
-                for w in nxt:
-                    yield w
-                frontier = nxt
+                f"window of {size} elements exceeds cap {WINDOW_CAP}")
+        return self.group.window_elements(self.extent)
 
     def enlarged(self):
-        """The outer window used by stability checks.
-
-        Z-like windows grow by 4x so that generated sets whose blocks
-        grow geometrically (base 3) gain at least one new block.
-        """
-        g = self.group
-        if g.family in ("Z", "Z_POW_D"):
-            return Window(g, self.extent * 4)
-        if g.family == "Z2SUM":
-            return Window(g, self.extent + 2)
-        return Window(g, self.extent + 1)
+        """The outer window used by stability checks."""
+        return Window(self.group, self.group.enlarged_extent(self.extent))
 
 
-def word_ball_elements(group, r, coords=None):
+def word_ball_elements(group, r):
     """All elements of word length <= r over the canonical generators."""
     if r < 0:
         raise GroupError("word radius must be >= 0")
-    if group.family == "Z":
-        return frozenset(range(-r, r + 1))
-    if group.family == "Z_POW_D":
-        out = set()
-        def rec(prefix, left, depth):
-            if depth == group.d:
-                out.add(tuple(prefix))
-                return
-            for x in range(-left, left + 1):
-                rec(prefix + [x], left - abs(x), depth + 1)
-        rec([], r, 0)
-        return frozenset(out)
-    if group.family == "Z2SUM":
-        m = group.m if coords is None else coords
-        out = {0}
-        for j in range(1, min(r, m) + 1):
-            for combo in combinations(range(m), j):
-                mask = 0
-                for c in combo:
-                    mask |= 1 << c
-                out.add(mask)
-        return frozenset(out)
-    out = {""}
-    frontier = [""]
-    for _ in range(r):
-        nxt = []
-        for w in frontier:
-            for letter in group.generators():
-                if w and w[-1] == letter.swapcase():
-                    continue
-                nxt.append(w + letter)
-        out.update(nxt)
-        frontier = nxt
-    return frozenset(out)
+    return group.word_ball(r)
 
 
 @dataclass(frozen=True)
@@ -488,6 +530,14 @@ class FiniteSample:
     def sorted_elements(self):
         return sorted(self.elements, key=self.group.sort_key)
 
+    def interior(self, margin):
+        """Sorted elements whose word-radius ``margin`` ball fits the
+        window; all of them when there is no window."""
+        els = self.sorted_elements()
+        if self.window is None:
+            return els
+        return [y for y in els if self.window.is_interior(y, margin)]
+
     def __len__(self):
         return len(self.elements)
 
@@ -506,7 +556,4 @@ class FiniteSample:
 
 def enumerate_window(group, window):
     """Every carrier element in the window, as a FiniteSample."""
-    if window.size() > WINDOW_CAP:
-        raise BudgetExceededError(
-            f"window of {window.size()} elements exceeds cap {WINDOW_CAP}")
     return FiniteSample(group, frozenset(window.elements()), window)

@@ -15,12 +15,10 @@ import json
 from dataclasses import dataclass
 
 from . import structures
-from .groups import (FiniteSample, GroupError, Window, enumerate_window,
-                     group_from_spec)
+from .groups import (FiniteSample, GroupError, IntGroup, Window, XorGroup,
+                     enumerate_window, group_from_spec)
 
 KINDS = ("explicit", "ip", "pwip", "wn", "cantor", "periodic", "powers", "window")
-
-DEFAULT_EXTENTS = {"Z": 512, "Z_POW_D": 64, "Z2SUM": 8, "FREE": 8}
 
 
 @dataclass(frozen=True)
@@ -51,9 +49,7 @@ class SetSpec:
             return Window(group, self.window_extent)
         if self.kind == "cantor" and self.param("levels") != "auto":
             return structures.gen_cantor_geodesic(int(self.param("levels"))).window
-        if group.family == "Z2SUM":
-            return Window(group, group.m)
-        return Window(group, DEFAULT_EXTENTS[group.family])
+        return Window(group, group.default_extent)
 
     def resolve(self, group=None, window=None):
         group = group or self.group()
@@ -68,7 +64,7 @@ class SetSpec:
         if kind == "window":
             return enumerate_window(group, window).elements
         if kind == "periodic":
-            if group.family != "Z":
+            if not isinstance(group, IntGroup):
                 raise GroupError("periodic recipes require the group z")
             q = int(self.param("modulus"))
             if q < 1:
@@ -77,7 +73,7 @@ class SetSpec:
             n = window.extent
             return {x for x in range(-n, n + 1) if x % q in residues}
         if kind == "powers":
-            if group.family != "Z":
+            if not isinstance(group, IntGroup):
                 raise GroupError("powers recipes require the group z")
             b = int(self.param("base"))
             if b < 2:
@@ -93,7 +89,7 @@ class SetSpec:
             if rule is None:
                 gens = [group.parse(t) for t in self.param("generators", ())]
             elif rule == "powers":
-                if group.family != "Z":
+                if not isinstance(group, IntGroup):
                     raise GroupError("ip rule 'powers' requires the group z")
                 b = int(self.param("base", 2))
                 gens, total, v = [], 0, 1
@@ -111,7 +107,7 @@ class SetSpec:
             shifts = [group.parse(t) for t in self.param("shifts", ())]
             return structures.gen_pwip(group, gens, shifts).elements
         if kind == "wn":
-            if group.family != "Z2SUM":
+            if not isinstance(group, XorGroup):
                 raise GroupError("wn recipes require a z2sum group")
             n = int(self.param("support"))
             return structures.gen_wn(window.extent, n).elements

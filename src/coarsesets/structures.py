@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 from .groups import (FiniteSample, GroupError, IntGroup, XorGroup, Window)
 
@@ -70,16 +69,7 @@ def gen_wn(m, n):
     if not 0 <= n <= m <= 24:
         raise GroupError("need 0 <= n <= m <= 24")
     group = XorGroup(m)
-    out = {0}
-    for j in range(1, n + 1):
-        for combo in combinations(range(m), j):
-            mask = 0
-            for c in combo:
-                mask |= 1 << c
-            out.add(mask)
-    sample = FiniteSample(group, frozenset(out), Window(group, m))
-    assert len(sample) == sum(comb(m, j) for j in range(n + 1))
-    return sample
+    return FiniteSample(group, group.word_ball(n), Window(group, m))
 
 
 CANTOR_WINDOW_MARGIN = 128
@@ -152,7 +142,6 @@ class PwipWitness:
             return False
         if len(set(self.gens)) != self.depth:
             return False
-        target = target.elements if isinstance(target, FiniteSample) else target
         derived = {}
         for size in range(1, self.depth + 1):
             for idx in combinations(range(self.depth), size):
@@ -202,7 +191,7 @@ def detect_pwip(sample, depth, scale=None, pool_cap=4096):
     if depth < 1:
         raise GroupError("depth must be >= 1")
     group = sample.group
-    elems = sample.elements if isinstance(sample, FiniteSample) else frozenset(sample)
+    elems = sample.elements
     if 2 ** depth - 1 > len(elems):
         return None              # not enough room for the distinct products
     if scale is not None:

@@ -173,3 +173,60 @@ def test_byte_determinism(capsys):
     _, out1, _ = invoke(capsys, *args)
     _, out2, _ = invoke(capsys, *args)
     assert out1 == out2
+
+
+def test_prec_map_not_an_object(capsys, tmp_path):
+    mapfile = tmp_path / "map.json"
+    for data in ([["1", "2"]], {"domain_group": "z", "pairs": [["1", "2"]]}):
+        mapfile.write_text(json.dumps(data))
+        code, report = invoke_json(capsys, "prec", "--map", str(mapfile),
+                                   "--radius=-1,1")
+        assert code == 2
+        assert report["kind"] == "error"
+        assert report["error"]["type"] == "GroupError"
+
+
+def test_non_string_group_spec(capsys, tmp_path):
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps({"group": 5, "kind": "window"}))
+    code, report = invoke_json(capsys, "gen", "--set", str(spec))
+    assert code == 2
+    assert report["error"]["type"] == "GroupError"
+
+
+@pytest.mark.parametrize("group", ["z", "z^2", "z2sum:4", "free:2"])
+def test_negative_window_rejected(capsys, group):
+    code, report = invoke_json(capsys, "gen", "--group", group, "--kind",
+                               "window", "--window", "-3")
+    assert code == 2
+    assert report["error"]["type"] == "GroupError"
+
+
+def test_density_pwip_window_zero(capsys, tmp_path):
+    spec = tmp_path / "evens.json"
+    spec.write_text(json.dumps(
+        {"group": "z", "kind": "periodic", "modulus": 2, "residues": ["0"]}))
+    code, report = invoke_json(capsys, "density-pwip", "--set", str(spec),
+                               "--depth", "1", "--window", "0")
+    assert code in (0, 1)
+    assert report["window"] == "0"
+    assert report["sample_size"] == "1"
+
+
+def test_density_accepts_every_spelling_of_z(capsys, tmp_path):
+    spec = tmp_path / "thirds.json"
+    spec.write_text(json.dumps(
+        {"group": " Z ", "kind": "periodic", "modulus": 3, "residues": ["0"]}))
+    code, report = invoke_json(capsys, "density", "--set", str(spec),
+                               "--nmax", "3000")
+    assert code == 0
+    assert abs(float(report["estimate"]) - 1 / 3) < 1e-2
+    code, report = invoke_json(capsys, "density-pwip", "--set", str(spec),
+                               "--depth", "2")
+    assert code == 0
+    assert report["verdict"] == "FOUND"
+    spec.write_text(json.dumps(
+        {"group": "z^2", "kind": "explicit", "elements": ["0,0"]}))
+    code, report = invoke_json(capsys, "density", "--set", str(spec))
+    assert code == 2
+    assert "require the group z" in report["error"]["message"]

@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from coarsesets.budgets import preset
 from coarsesets.groups import (FreeGroup, GroupError, IntGroup, LatticeGroup,
                                Window, XorGroup, enumerate_window,
                                group_from_spec, reduce_word,
                                word_ball_elements)
+from coarsesets.recipes import SetSpec
 
 
 def groups_and_element_strategies():
@@ -180,3 +182,79 @@ def test_enumerate_window_sample():
     assert sample.sorted_elements() == list(range(-3, 4))
     assert len(sample) == 7
     assert 0 in sample
+
+
+# One group per family with a small window extent.
+FAMILY_WINDOWS = [(IntGroup(), 7), (LatticeGroup(2), 3), (XorGroup(6), 4),
+                  (FreeGroup(2), 3)]
+
+
+@pytest.mark.parametrize("group,extent", FAMILY_WINDOWS,
+                         ids=lambda v: getattr(v, "spec", str(v)))
+def test_window_protocol(group, extent):
+    window = Window(group, extent)
+    elements = list(window.elements())
+    assert window.size() == len(set(elements)) == len(elements)
+    assert all(window.contains(el) for el in elements)
+    assert all(window.is_interior(el, 0) for el in elements)
+    outer = window.enlarged()
+    assert outer.size() > window.size()
+    outer_elements = set(outer.elements())
+    assert set(elements) <= outer_elements
+    # membership picks out exactly the inner window
+    assert {el for el in outer_elements if window.contains(el)} == set(elements)
+
+
+@pytest.mark.parametrize("group,extent", FAMILY_WINDOWS,
+                         ids=lambda v: getattr(v, "spec", str(v)))
+def test_word_ball_is_generator_bfs(group, extent):
+    ball = {group.identity()}
+    for r in range(extent + 1):
+        assert word_ball_elements(group, r) == ball
+        ball |= {group.mul(g, w) for w in ball for g in group.generators()}
+
+
+def test_free_window_is_word_ball():
+    f = FreeGroup(3)
+    for n in range(5):
+        assert frozenset(Window(f, n).elements()) == word_ball_elements(f, n)
+
+
+def test_negative_extents_rejected():
+    for group, _ in FAMILY_WINDOWS:
+        with pytest.raises(GroupError):
+            Window(group, -1)
+        with pytest.raises(GroupError):
+            group.window(-3)
+        with pytest.raises(GroupError):
+            word_ball_elements(group, -1)
+
+
+LADDERS = {
+    "z": {"small": (1, 3, 9, 27), "medium": (1, 3, 9, 27, 81),
+          "large": (1, 3, 9, 27, 81, 243)},
+    "z^2": {"small": (1, 3, 9, 27), "medium": (1, 3, 9, 27, 81),
+            "large": (1, 3, 9, 27, 81, 243)},
+    "z2sum:10": {"small": (1, 3, 9, 10), "medium": (1, 3, 9, 10),
+                 "large": (1, 3, 9, 10)},
+    "z2sum:2": {"small": (1, 2), "medium": (1, 2), "large": (1, 2)},
+    "free:2": {"small": (1, 2, 3, 4), "medium": (1, 2, 3, 4, 5),
+               "large": (1, 2, 3, 4, 5, 6)},
+}
+
+
+@pytest.mark.parametrize("spec", sorted(LADDERS))
+def test_ladder_for_each_family(spec):
+    group = group_from_spec(spec)
+    for name, ladder in LADDERS[spec].items():
+        scale = preset(name)
+        assert scale.ladder_for(group) == ladder
+        assert scale.margin_for(group) == scale.f_max + ladder[-1]
+
+
+@pytest.mark.parametrize("spec,extent", [("z", 512), ("z^2", 64),
+                                         ("z2sum:5", 5), ("z2sum:12", 12),
+                                         ("free:2", 8)])
+def test_default_window_extent(spec, extent):
+    sample = SetSpec.make(spec, "explicit", elements=()).resolve()
+    assert sample.window.extent == extent

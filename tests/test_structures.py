@@ -71,6 +71,16 @@ def test_gen_wn_counts():
     assert all(XorGroup.support(x) <= 2 for x in sample.elements)
 
 
+def test_gen_wn_is_xor_word_ball():
+    for m in range(1, 9):
+        for n in range(m + 1):
+            sample = gen_wn(m, n)
+            assert sample.elements == XorGroup(m).word_ball(n)
+            assert sample.elements == frozenset(
+                x for x in range(2 ** m) if XorGroup.support(x) <= n)
+            assert sample.window == Window(XorGroup(m), m)
+
+
 def test_cantor_offsets_separation():
     offs = cantor_offsets(6)
     assert offs[0] == 0
