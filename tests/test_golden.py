@@ -1,8 +1,9 @@
 """Golden outputs: the sha256 of stdout and the exit code of fixed CLI runs.
 
 The hashes in ``golden_sha256.json`` pin the JSON the CLI prints for the
-acceptance battery and for one input per group family, so a refactor
-that changes any byte of a report fails here.  After an intended output
+acceptance battery, for one input per group family, and for the pwip
+detector at depths 1-3 and the ``ip``/``pwip`` generators on every
+family, so a refactor that changes any byte of a report fails here.  After an intended output
 change, regenerate the file with ``PYTHONPATH=src python tests/test_golden.py``
 and say in the change log which outputs moved.
 """
@@ -96,6 +97,45 @@ CASES.update({
                    "--budget", "small"], FREE_SET),
     "cellular/free": (["cellular", "--set", "{set}", "--radius", "a,A",
                        "--budget", "small"], FREE_SET),
+})
+
+# One input per family for the pwip detector and the ip/pwip generators.
+PWIP_INPUTS = {
+    "z": {"group": "z", "kind": "powers", "base": 2, "window": 512},
+    "z^2": LATTICE_SET,
+    "z2sum": {"group": "z2sum:6", "kind": "wn", "support": 2},
+    "free": FREE_SET,
+}
+GEN_RECIPES = {
+    "z": (["1", "10", "100"], ["0", "5", "-3"]),
+    "z^2": (["1,0", "0,1", "3,3"], ["0,0", "-1,2", "4,0"]),
+    "z2sum": (["100000", "010000", "001100"], ["000000", "000001", "110000"]),
+    "free": (["a", "b", "Ab"], ["", "B", "aa"]),
+}
+_GROUPS = {"z": "z", "z^2": "z^2", "z2sum": "z2sum:6", "free": "free:2"}
+for _family, _recipe in PWIP_INPUTS.items():
+    for _depth in (1, 2, 3):
+        CASES[f"detect-pwip/{_family}/d{_depth}"] = (
+            ["detect-pwip", "--set", "{set}", "--depth", str(_depth),
+             "--budget", "small"], _recipe)
+for _family, (_gens, _shifts) in GEN_RECIPES.items():
+    _group = _GROUPS[_family]
+    CASES[f"gen-ip/{_family}"] = (["gen", "--set", "{set}"], {
+        "group": _group, "kind": "ip", "generators": _gens})
+    CASES[f"gen-pwip/{_family}"] = (["gen", "--set", "{set}"], {
+        "group": _group, "kind": "pwip", "generators": _gens,
+        "shifts": _shifts})
+
+CASES.update({
+    "sparse/z": (["sparse", "--group", "z", "--kind", "powers", "--base",
+                  "2", "--window", "512", "--budget", "small"], None),
+    "scattered/z": (["scattered", "--group", "z", "--kind", "powers",
+                     "--base", "3", "--window", "729", "--budget", "small"],
+                    None),
+    "density-pwip/z": (["density-pwip", "--set", "{set}", "--depth", "3",
+                        "--budget", "small"],
+                       {"group": "z", "kind": "periodic", "modulus": 5,
+                        "residues": ["0", "2"]}),
 })
 
 
