@@ -257,8 +257,6 @@ def classify(sample, scale):
     max_depth = 0
     witness = None
     for d in range(1, scale.max_depth + 1):
-        if 2 ** d - 1 > len(sample):
-            break
         w = structures.detect_pwip(sample, d, scale=scale)
         if w is None:
             break

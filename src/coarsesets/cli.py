@@ -161,6 +161,8 @@ def cmd_prec(args):
         data = json.load(fh)
     if not isinstance(data, dict) or not isinstance(data.get("pairs"), dict):
         raise GroupError("map file must be a JSON object whose 'pairs' is an object")
+    if not all(isinstance(v, str) for v in data["pairs"].values()):
+        raise GroupError("map 'pairs' values must be strings")
     group = group_from_spec(data.get("domain_group", "z"))
     cod = group_from_spec(data.get("codomain_group", data.get("domain_group", "z")))
     mapping = {group.parse(k): cod.parse(v) for k, v in data["pairs"].items()}

@@ -46,7 +46,7 @@ def _periodic_count(q, residues, n):
 def _counter_for(recipe, n_max):
     if recipe.kind == "periodic":
         q = int(recipe.param("modulus"))
-        residues = sorted({int(r) % q for r in recipe.param("residues", ())})
+        residues = sorted({int(r) % q for r in recipe.strings("residues")})
         return lambda n: _periodic_count(q, residues, n)
     group = IntGroup()
     sample = recipe.resolve(group, Window(group, n_max))
@@ -93,8 +93,6 @@ def density_pwip_experiment(recipe, depth, window_extent=100, scale=None):
     achieved = 0
     witness = None
     for d in range(depth, 0, -1):
-        if 2 ** d - 1 > len(clipped):
-            continue
         w = structures.detect_pwip(clipped, d, scale=scale)
         if w is not None:
             achieved, witness = d, w

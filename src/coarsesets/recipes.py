@@ -41,6 +41,15 @@ class SetSpec:
                 return v
         return default
 
+    def strings(self, key):
+        """The list parameter ``key`` (empty when absent), whose entries
+        must all be strings."""
+        value = self.param(key, ())
+        if not (isinstance(value, tuple)
+                and all(isinstance(t, str) for t in value)):
+            raise GroupError(f"recipe {key!r} must be a list of strings")
+        return value
+
     def group(self):
         return group_from_spec(self.group_spec)
 
@@ -60,7 +69,7 @@ class SetSpec:
     def _elements(self, group, window):
         kind = self.kind
         if kind == "explicit":
-            return {group.parse(t) for t in self.param("elements", ())}
+            return {group.parse(t) for t in self.strings("elements")}
         if kind == "window":
             return enumerate_window(group, window).elements
         if kind == "periodic":
@@ -69,7 +78,7 @@ class SetSpec:
             q = int(self.param("modulus"))
             if q < 1:
                 raise GroupError("modulus must be >= 1")
-            residues = {int(r) % q for r in self.param("residues", ())}
+            residues = {int(r) % q for r in self.strings("residues")}
             n = window.extent
             return {x for x in range(-n, n + 1) if x % q in residues}
         if kind == "powers":
@@ -87,7 +96,7 @@ class SetSpec:
         if kind == "ip":
             rule = self.param("rule")
             if rule is None:
-                gens = [group.parse(t) for t in self.param("generators", ())]
+                gens = [group.parse(t) for t in self.strings("generators")]
             elif rule == "powers":
                 if not isinstance(group, IntGroup):
                     raise GroupError("ip rule 'powers' requires the group z")
@@ -97,14 +106,14 @@ class SetSpec:
                     gens.append(v)
                     total += v
                     v *= b
-                    if len(gens) == 20:
+                    if len(gens) == structures.MAX_GENERATORS:
                         break
             else:
                 raise GroupError(f"unknown ip rule: {rule!r}")
             return structures.gen_ip(group, gens).elements
         if kind == "pwip":
-            gens = [group.parse(t) for t in self.param("generators", ())]
-            shifts = [group.parse(t) for t in self.param("shifts", ())]
+            gens = [group.parse(t) for t in self.strings("generators")]
+            shifts = [group.parse(t) for t in self.strings("shifts")]
             return structures.gen_pwip(group, gens, shifts).elements
         if kind == "wn":
             if not isinstance(group, XorGroup):

@@ -13,9 +13,10 @@ set's own elements and their quotients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .groups import (FiniteSample, GroupError, IntGroup, XorGroup, Window)
+
+MAX_GENERATORS = 20
 
 
 def _check_injective(group, gens):
@@ -27,21 +28,29 @@ def _check_injective(group, gens):
         seen.add(g)
 
 
+def _subset_products(group, gens):
+    """Products over the index subsets of gens, by prefix doubling.
+
+    Entry m is the product of gens[i] over the set bits i of m, in
+    increasing i; so entry 0 is the identity, and entries 2^j to
+    2^(j+1) - 1 are the subsets whose largest index is j.
+    """
+    mul = group.mul
+    prods = [group.identity()]
+    for g in gens:
+        prods += [mul(p, g) for p in prods]
+    return prods
+
+
+def _indices(mask):
+    """The increasing index tuple of the set bits of mask."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def gen_ip(group, gens):
     """All products over nonempty increasing index subsets of gens."""
     gens = tuple(gens)
-    if not gens:
-        raise GroupError("need at least one generator")
-    if len(gens) > 20:
-        raise GroupError("at most 20 generators")
-    _check_injective(group, gens)
-    prefix = {group.identity()}          # products over subsets of a prefix
-    out = set()
-    for g in gens:
-        layer = {group.mul(p, g) for p in prefix}
-        out |= layer
-        prefix |= layer
-    return FiniteSample(group, frozenset(out))
+    return gen_pwip(group, gens, (group.identity(),) * len(gens))
 
 
 def gen_pwip(group, gens, shifts):
@@ -53,14 +62,15 @@ def gen_pwip(group, gens, shifts):
         raise GroupError("generators and shifts must have equal length")
     if not gens:
         raise GroupError("need at least one generator")
+    if len(gens) > MAX_GENERATORS:
+        raise GroupError(f"at most {MAX_GENERATORS} generators")
     _check_injective(group, gens)
     for b in shifts:
         group.validate(b)
-    prefix = {group.identity()}
+    prods = _subset_products(group, gens)
     out = set()
-    for g, b in zip(gens, shifts):
-        out |= {group.mul(group.mul(p, g), b) for p in prefix}
-        prefix |= {group.mul(p, g) for p in prefix}
+    for j, b in enumerate(shifts):
+        out |= group.products(prods[2 ** j:2 ** (j + 1)], (b,))
     return FiniteSample(group, frozenset(out))
 
 
@@ -94,16 +104,10 @@ def _no_one_digits(i):
 
 def cantor_levels_for_window(extent):
     """Largest level count whose last block still fits the window."""
-    levels = 0
-    offs = [0]
-    for n in range(1, 13):
-        end = offs[-1] + 3 ** n
-        if end + CANTOR_WINDOW_MARGIN <= extent:
-            levels = n
-        else:
-            break
-        offs.append(offs[-1] + 3 ** n + 2 * 3 ** (n + 1))
-    return max(levels, 1)
+    offs = cantor_offsets(13)
+    return max((n for n in range(1, 13)
+                if offs[n - 1] + 3 ** n + CANTOR_WINDOW_MARGIN <= extent),
+               default=1)
 
 
 def gen_cantor_geodesic(levels):
@@ -142,14 +146,9 @@ class PwipWitness:
             return False
         if len(set(self.gens)) != self.depth:
             return False
-        derived = {}
-        for size in range(1, self.depth + 1):
-            for idx in combinations(range(self.depth), size):
-                p = g.identity()
-                for i in idx:
-                    p = g.mul(p, self.gens[i])
-                p = g.mul(p, self.shifts[idx[-1]])
-                derived[idx] = p
+        prods = _subset_products(g, self.gens)
+        derived = {_indices(m): g.mul(p, self.shifts[m.bit_length() - 1])
+                   for m, p in enumerate(prods) if m}
         claimed = dict(self.products)
         if set(claimed) != set(derived):
             return False
@@ -199,77 +198,62 @@ def detect_pwip(sample, depth, scale=None, pool_cap=4096):
     ordered = sorted(elems, key=group.sort_key)
     pool_list = _quotient_pool(group, ordered, pool_cap)
     pool = frozenset(pool_list)
-    e = group.identity()
+    mul = group.mul
 
-    # prefix: map from index tuple (subset of chosen generator indices)
-    # to the ordered product of those generators.
-    def extend(stage, gens, prefix, products):
+    def translate(prefix, x, taken):
+        """The products p.x over the prefix, or None if one leaves the
+        sample or is taken.  They are distinct: the prefix products are,
+        since the previous stage checked their translates."""
+        out = []
+        for p in prefix:
+            v = mul(p, x)
+            if v not in elems or v in taken:
+                return None
+            out.append(v)
+        return out
+
+    # Stage j picks x = P({j}) and t = P({j-1, j}), which fixes
+    # g_{j-1} = t.x^-1 and, by translating the products over subsets of
+    # {0..j-2}, every product whose largest index is j.  ``found`` holds
+    # those products in subset-mask order from mask 2 on; P({0}) is free
+    # and is picked last.
+    def extend(stage, gens, found):
+        taken = set(found)
         if stage == depth:
-            for x0 in ordered:
-                if x0 not in products.values():
-                    products = dict(products)
-                    products[(0,)] = x0
-                    return gens, products
-            return None
-        taken = set(products.values())
-        # prefix entries not ending in index stage - 1; fixed for every xj
-        items = [(S, p) for S, p in prefix.items()
-                 if not (S and S[-1] == stage - 1)]
+            # 2^d - 1 <= |sample| leaves at least one element untaken
+            return gens, [next(x for x in ordered if x not in taken)] + found
+        prefix = _subset_products(group, gens)
         for xj in ordered:
-            part1 = {}
-            ok = True
-            for S, p in items:
-                v = group.mul(p, xj)
-                if v not in elems or v in taken or v in part1.values():
-                    ok = False
-                    break
-                part1[S + (stage,)] = v
-            if not ok:
+            part1 = translate(prefix, xj, taken)
+            if part1 is None:
                 continue
-            taken1 = taken | set(part1.values())
+            taken1 = taken.union(part1)
             xj_inv = group.inv(xj)
             for t in ordered:
-                gj = group.mul(t, xj_inv)
+                gj = mul(t, xj_inv)
                 if gj not in pool or gj in gens:
                     continue
-                part2 = {}
-                ok2 = True
-                for S, p in items:
-                    v = group.mul(p, t)
-                    if v not in elems or v in taken1 or v in part2.values():
-                        ok2 = False
-                        break
-                    part2[S + (stage - 1, stage)] = v
-                if not ok2:
+                part2 = translate(prefix, t, taken1)
+                if part2 is None:
                     continue
-                new_prefix = dict(prefix)
-                for S, p in items:
-                    new_prefix[S + (stage - 1,)] = group.mul(p, gj)
-                new_products = dict(products)
-                new_products.update(part1)
-                new_products.update(part2)
-                hit = extend(stage + 1, gens + [gj], new_prefix, new_products)
+                hit = extend(stage + 1, gens + [gj], found + part1 + part2)
                 if hit is not None:
                     return hit
         return None
 
-    if depth == 1:
-        gens, products = [], {(0,): ordered[0]}
-    else:
-        hit = extend(1, [], {(): e}, {})
-        if hit is None:
-            return None
-        gens, products = hit
-
+    hit = extend(1, [], [])
+    if hit is None:
+        return None
+    gens, values = hit
     # the last generator is unconstrained by the products; pick the
     # first pool element keeping the sequence injective.
     last = next((c for c in pool_list if c not in gens), None)
     if last is None:
         return None
     gens = gens + [last]
-    shifts = tuple(group.mul(group.inv(gens[j]), products[(j,)])
+    shifts = tuple(mul(group.inv(gens[j]), values[2 ** j - 1])
                    for j in range(depth))
-    prods = tuple(sorted(products.items()))
+    prods = tuple(sorted((_indices(m), v) for m, v in enumerate(values, 1)))
     witness = PwipWitness(group, depth, tuple(gens), shifts, prods)
     assert witness.validate(elems)
     return witness
@@ -304,11 +288,10 @@ def extract_pwip_from_chain(chain):
     """All products g_0^e0 ... g_n^en . x_n; contained in A_0 by nesting."""
     chain.check()
     g = chain.group
+    prods = _subset_products(g, chain.gens)
     out = set()
-    prefix = [g.identity()]
-    for n, gn in enumerate(chain.gens):
-        prefix = prefix + [g.mul(p, gn) for p in prefix]
-        out |= {g.mul(p, chain.reps[n]) for p in prefix}
+    for n, x in enumerate(chain.reps):
+        out |= g.products(prods[:2 ** (n + 1)], (x,))
     result = frozenset(out)
     if not result <= chain.sets[0]:
         raise GroupError("extracted set escapes the top set")

@@ -230,3 +230,57 @@ def test_density_accepts_every_spelling_of_z(capsys, tmp_path):
     code, report = invoke_json(capsys, "density", "--set", str(spec))
     assert code == 2
     assert "require the group z" in report["error"]["message"]
+
+
+def test_pwip_recipe_generator_cap(capsys, tmp_path):
+    spec = tmp_path / "pwip.json"
+    spec.write_text(json.dumps({
+        "group": "z", "kind": "pwip",
+        "generators": [str(3 ** i) for i in range(21)],
+        "shifts": ["0"] * 21}))
+    code, report = invoke_json(capsys, "gen", "--set", str(spec))
+    assert code == 2
+    assert report["error"]["message"] == "at most 20 generators"
+
+
+@pytest.mark.parametrize("recipe", [
+    pytest.param({"kind": "explicit", "elements": [1, 2]}, id="int-elements"),
+    pytest.param({"kind": "explicit", "elements": "12"}, id="string-elements"),
+    pytest.param({"kind": "explicit", "elements": None}, id="null-elements"),
+    pytest.param({"kind": "periodic", "modulus": 3, "residues": "01"},
+                 id="string-residues"),
+    pytest.param({"kind": "periodic", "modulus": 3, "residues": [0, 1]},
+                 id="int-residues"),
+    pytest.param({"kind": "ip", "generators": "12"}, id="string-generators"),
+    pytest.param({"kind": "ip", "generators": [1, 2]}, id="int-generators"),
+    pytest.param({"kind": "pwip", "generators": ["1", "2"], "shifts": "00"},
+                 id="string-shifts"),
+    pytest.param({"kind": "pwip", "generators": [["1"], ["2"]],
+                  "shifts": ["0", "0"]}, id="nested-generators"),
+])
+def test_badly_typed_recipe_values(capsys, tmp_path, recipe):
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps({"group": "z", **recipe}))
+    code, report = invoke_json(capsys, "gen", "--set", str(spec))
+    assert code == 2
+    assert report["error"]["type"] == "GroupError"
+    assert "must be a list of strings" in report["error"]["message"]
+
+
+def test_density_rejects_string_residues(capsys, tmp_path):
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps(
+        {"group": "z", "kind": "periodic", "modulus": 3, "residues": "01"}))
+    code, report = invoke_json(capsys, "density", "--set", str(spec),
+                               "--nmax", "100")
+    assert code == 2
+    assert "must be a list of strings" in report["error"]["message"]
+
+
+def test_prec_map_value_not_a_string(capsys, tmp_path):
+    mapfile = tmp_path / "map.json"
+    mapfile.write_text(json.dumps({"domain_group": "z", "pairs": {"1": 2}}))
+    code, report = invoke_json(capsys, "prec", "--map", str(mapfile),
+                               "--radius=-1,1")
+    assert code == 2
+    assert report["error"]["type"] == "GroupError"

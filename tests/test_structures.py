@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,8 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from coarsesets.groups import (FiniteSample, FreeGroup, GroupError, IntGroup,
                                LatticeGroup, Window, XorGroup)
-from coarsesets.structures import (NestedChain, _quotient_pool, cantor_offsets,
-                                   detect_pwip, extract_pwip_from_chain,
+from coarsesets.structures import (CANTOR_WINDOW_MARGIN, NestedChain,
+                                   PwipWitness, _quotient_pool,
+                                   cantor_levels_for_window,
+                                   cantor_offsets, detect_pwip,
+                                   extract_pwip_from_chain,
                                    gen_cantor_geodesic, gen_ip, gen_pwip,
                                    gen_wn)
 
@@ -86,6 +90,16 @@ def test_cantor_offsets_separation():
     assert offs[0] == 0
     for n in range(1, 6):
         assert offs[n] - (offs[n - 1] + 3**n) >= 2 * 3 ** (n + 1) - 3**n
+
+
+def test_cantor_levels_for_window_boundaries():
+    offs = cantor_offsets(13)
+    for n in range(1, 13):
+        fits = offs[n - 1] + 3 ** n + CANTOR_WINDOW_MARGIN
+        assert cantor_levels_for_window(fits) == n
+        assert cantor_levels_for_window(fits - 1) == max(n - 1, 1)
+    assert cantor_levels_for_window(0) == 1
+    assert cantor_levels_for_window(10 ** 9) == 12
 
 
 def test_cantor_geodesic_blocks():
@@ -176,6 +190,16 @@ def _random_oracle_instances():
     cases.append((Z, frozenset(3**n for n in range(9))))
     cases.append((Z, frozenset(range(40))))
     cases.append((Z, frozenset(rng.sample(range(-10000, 10000), 40))))
+    lattice = LatticeGroup(2)
+    box = sorted(Window(lattice, 4).elements())
+    for _ in range(30):
+        n = rng.randint(1, 16)
+        cases.append((lattice, frozenset(rng.sample(box, n))))
+    free = FreeGroup(2)
+    words = sorted(free.word_ball(3), key=free.sort_key)
+    for _ in range(30):
+        n = rng.randint(1, 14)
+        cases.append((free, frozenset(rng.sample(words, n))))
     return cases
 
 
@@ -193,6 +217,33 @@ def test_detect_pwip_oracle_equivalence():
                 assert got.validate(elems)
             checked += 1
     assert checked >= 200
+
+
+def test_witness_validate_rejects_tampering():
+    sample = gen_pwip(Z, (10, 100, 1000), (1, 2, 3))
+    witness = detect_pwip(sample, 3)
+    assert witness.validate(sample.elements)
+    (idx, value), *rest = witness.products
+    other = next(x for x in sorted(sample.elements) if x != value)
+    g0, g1, g2 = witness.gens
+    tampered = [
+        dataclasses.replace(witness, products=((idx, other), *rest)),
+        dataclasses.replace(witness, products=tuple(rest)),
+        dataclasses.replace(witness, gens=(g0, g0, g2)),
+        dataclasses.replace(witness, shifts=witness.shifts[:-1]),
+    ]
+    for bad in tampered:
+        assert not bad.validate(sample.elements)
+    assert not witness.validate(sample.elements - {value})
+
+
+def test_witness_validate_rejects_equal_products():
+    # P(0) = 1 + 1 and P(1) = 2 + 0 coincide; P(0, 1) = 1 + 2 + 0
+    products = (((0,), 2), ((0, 1), 3), ((1,), 2))
+    witness = PwipWitness(Z, 2, (1, 2), (1, 0), products)
+    assert not witness.validate({2, 3})
+    good = PwipWitness(Z, 2, (1, 2), (0, 0), (((0,), 1), ((0, 1), 3), ((1,), 2)))
+    assert good.validate({1, 2, 3})
 
 
 def test_detect_pwip_powers_depth3_negative():
