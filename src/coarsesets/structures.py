@@ -202,8 +202,9 @@ def detect_pwip(sample, depth, scale=None, pool_cap=4096):
 
     def translate(prefix, x, taken):
         """The products p.x over the prefix, or None if one leaves the
-        sample or is taken.  They are distinct: the prefix products are,
-        since the previous stage checked their translates."""
+        sample or is taken.  They are distinct because the prefix
+        products are: their translates at the previous stage filled two
+        disjoint parts."""
         out = []
         for p in prefix:
             v = mul(p, x)
