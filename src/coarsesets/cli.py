@@ -17,7 +17,7 @@ from .geometry import (Radius, cellularity_probe, chain_component, ball,
                        prec_mapping_check, word_radius)
 from .groups import (BudgetExceededError, FiniteSample, GroupError,
                      group_from_spec)
-from .recipes import KINDS, SetSpec, spec_from_file, spec_from_json
+from .recipes import KINDS, SetSpec, integer, spec_from_file
 
 SCHEMA = classifiers.SCHEMA
 
@@ -29,6 +29,20 @@ NEGATIVE_VERDICTS = {
 
 class CliError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as CliError, so they print as JSON errors."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
+# The recipe flags, in --help order; True marks a comma-separated list.
+# Every value goes to the recipe as given; the recipe reads its types.
+RECIPE_FLAGS = {"generators": True, "shifts": True, "elements": True,
+                "support": False, "levels": False, "modulus": False,
+                "residues": True, "base": False, "rule": False}
 
 
 def _parse_radius(group, text):
@@ -44,46 +58,32 @@ def _parse_radius(group, text):
 
 
 def _load_sample(args):
-    if getattr(args, "set", None):
+    if args.set:
         spec = spec_from_file(args.set)
-    elif getattr(args, "kind", None):
+    elif args.kind:
         spec = _spec_from_args(args)
     else:
         raise CliError("need --set FILE or --kind with --group")
     group = spec.group()
     window = None
-    if getattr(args, "window", None) is not None:
+    if args.window is not None:
         window = group.window(args.window)
     return spec.resolve(group, window)
 
 
 def _spec_from_args(args):
     params = {}
-    if getattr(args, "generators", None):
-        params["generators"] = [t for t in args.generators.split(",") if t]
-    if getattr(args, "shifts", None):
-        params["shifts"] = [t for t in args.shifts.split(",") if t]
-    if getattr(args, "elements", None):
-        params["elements"] = [t for t in args.elements.split(",") if t]
-    if getattr(args, "support", None) is not None:
-        params["support"] = args.support
-    if getattr(args, "levels", None) is not None:
-        params["levels"] = args.levels
-    if getattr(args, "modulus", None) is not None:
-        params["modulus"] = args.modulus
-    if getattr(args, "residues", None):
-        params["residues"] = [t for t in args.residues.split(",") if t]
-    if getattr(args, "base", None) is not None:
-        params["base"] = args.base
-    if getattr(args, "rule", None):
-        params["rule"] = args.rule
-    return SetSpec.make(args.group, args.kind,
-                        window_extent=getattr(args, "window", None), **params)
+    for name, is_list in RECIPE_FLAGS.items():
+        value = getattr(args, name)
+        if value is not None:
+            params[name] = [t for t in value.split(",") if t] if is_list else value
+    return SetSpec.make(args.group, args.kind, window_extent=args.window,
+                        **params)
 
 
 def _emit(report, args):
     text = json.dumps(report, indent=2, sort_keys=False)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     print(text)
@@ -166,7 +166,7 @@ def cmd_prec(args):
     group = group_from_spec(data.get("domain_group", "z"))
     cod = group_from_spec(data.get("codomain_group", data.get("domain_group", "z")))
     mapping = {group.parse(k): cod.parse(v) for k, v in data["pairs"].items()}
-    window = group.window(int(data.get("window", 256)))
+    window = group.window(integer(data.get("window", 256), "map 'window'"))
     domain = FiniteSample(group, frozenset(mapping), window)
     radius = _parse_radius(group, args.radius)
     rep = prec_mapping_check(mapping, domain, radius,
@@ -249,25 +249,17 @@ def cmd_density_pwip(args):
     return _emit(report, args)
 
 
-def _add_set_args(p, with_window=True):
+def _add_set_args(p):
     p.add_argument("--set", help="SetSpec JSON file")
     p.add_argument("--group", default="z", help="group spec (z, z^2, z2sum:8, free:2)")
     p.add_argument("--kind", choices=KINDS)
-    p.add_argument("--generators")
-    p.add_argument("--shifts")
-    p.add_argument("--elements")
-    p.add_argument("--support", type=int)
-    p.add_argument("--levels")
-    p.add_argument("--modulus", type=int)
-    p.add_argument("--residues")
-    p.add_argument("--base", type=int)
-    p.add_argument("--rule")
-    if with_window:
-        p.add_argument("--window", type=int)
+    for name in RECIPE_FLAGS:
+        p.add_argument("--" + name)
+    p.add_argument("--window", type=int)
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coarsesets",
         description="Finite-scale verdicts for thin, sparse and scattered subsets of groups")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -334,13 +326,11 @@ def build_parser():
 
 
 def run(argv):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit as exc:   # --help
+        return exc.code or 0
     except (GroupError, BudgetExceededError, CliError, OSError,
             ValueError, KeyError, json.JSONDecodeError) as exc:
         err = {

@@ -45,8 +45,7 @@ def _periodic_count(q, residues, n):
 
 def _counter_for(recipe, n_max):
     if recipe.kind == "periodic":
-        q = int(recipe.param("modulus"))
-        residues = sorted({int(r) % q for r in recipe.strings("residues")})
+        q, residues = recipe.periodic()
         return lambda n: _periodic_count(q, residues, n)
     group = IntGroup()
     sample = recipe.resolve(group, Window(group, n_max))

@@ -21,34 +21,52 @@ from .groups import (FiniteSample, GroupError, IntGroup, Window, XorGroup,
 KINDS = ("explicit", "ip", "pwip", "wn", "cantor", "periodic", "powers", "window")
 
 
-@dataclass(frozen=True)
+def integer(value, name):
+    """``value`` as an int: a JSON integer (not a bool) or a string of one."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise GroupError(f"{name} must be an integer")
+
+
+@dataclass
 class SetSpec:
     group_spec: str
     kind: str
-    params: tuple            # canonical sorted (key, value) pairs
+    params: dict
     window_extent: int | None = None
 
     @staticmethod
     def make(group_spec, kind, window_extent=None, **params):
         if kind not in KINDS:
             raise GroupError(f"unknown set kind: {kind!r}")
-        canon = tuple(sorted((k, _freeze(v)) for k, v in params.items()))
-        return SetSpec(group_spec, kind, canon, window_extent)
-
-    def param(self, key, default=None):
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
+        return SetSpec(group_spec, kind, params, window_extent)
 
     def strings(self, key):
         """The list parameter ``key`` (empty when absent), whose entries
         must all be strings."""
-        value = self.param(key, ())
-        if not (isinstance(value, tuple)
+        value = self.params.get(key, ())
+        if not (isinstance(value, (list, tuple))
                 and all(isinstance(t, str) for t in value)):
             raise GroupError(f"recipe {key!r} must be a list of strings")
         return value
+
+    def integer(self, key, default=None):
+        """The integer parameter ``key``; ``default`` when absent."""
+        return integer(self.params.get(key, default), f"recipe {key!r}")
+
+    def periodic(self):
+        """``(q, residues)`` of a periodic recipe: the modulus and the set
+        of residues reduced mod q."""
+        q = self.integer("modulus")
+        if q < 1:
+            raise GroupError("modulus must be >= 1")
+        return q, {integer(r, "recipe 'residues' entry") % q
+                   for r in self.strings("residues")}
 
     def group(self):
         return group_from_spec(self.group_spec)
@@ -56,8 +74,8 @@ class SetSpec:
     def default_window(self, group):
         if self.window_extent is not None:
             return Window(group, self.window_extent)
-        if self.kind == "cantor" and self.param("levels") != "auto":
-            return structures.gen_cantor_geodesic(int(self.param("levels"))).window
+        if self.kind == "cantor" and self.params.get("levels") != "auto":
+            return Window(group, structures.cantor_extent(self.integer("levels")))
         return Window(group, group.default_extent)
 
     def resolve(self, group=None, window=None):
@@ -75,16 +93,13 @@ class SetSpec:
         if kind == "periodic":
             if not isinstance(group, IntGroup):
                 raise GroupError("periodic recipes require the group z")
-            q = int(self.param("modulus"))
-            if q < 1:
-                raise GroupError("modulus must be >= 1")
-            residues = {int(r) % q for r in self.strings("residues")}
+            q, residues = self.periodic()
             n = window.extent
             return {x for x in range(-n, n + 1) if x % q in residues}
         if kind == "powers":
             if not isinstance(group, IntGroup):
                 raise GroupError("powers recipes require the group z")
-            b = int(self.param("base"))
+            b = self.integer("base")
             if b < 2:
                 raise GroupError("base must be >= 2")
             out = set()
@@ -94,13 +109,13 @@ class SetSpec:
                 v *= b
             return out
         if kind == "ip":
-            rule = self.param("rule")
+            rule = self.params.get("rule")
             if rule is None:
                 gens = [group.parse(t) for t in self.strings("generators")]
             elif rule == "powers":
                 if not isinstance(group, IntGroup):
                     raise GroupError("ip rule 'powers' requires the group z")
-                b = int(self.param("base", 2))
+                b = self.integer("base", 2)
                 gens, total, v = [], 0, 1
                 while total + v <= window.extent:
                     gens.append(v)
@@ -118,33 +133,23 @@ class SetSpec:
         if kind == "wn":
             if not isinstance(group, XorGroup):
                 raise GroupError("wn recipes require a z2sum group")
-            n = int(self.param("support"))
+            n = self.integer("support")
             return structures.gen_wn(window.extent, n).elements
         if kind == "cantor":
-            levels = self.param("levels")
-            if levels == "auto":
+            if not isinstance(group, IntGroup):
+                raise GroupError("cantor recipes require the group z")
+            if self.params.get("levels") == "auto":
                 levels = structures.cantor_levels_for_window(window.extent)
-            return structures.gen_cantor_geodesic(int(levels)).elements
+            else:
+                levels = self.integer("levels")
+            return structures.gen_cantor_geodesic(levels).elements
         raise GroupError(f"unknown set kind: {kind!r}")
 
     def to_json_dict(self):
-        out = {"group": self.group_spec, "kind": self.kind}
-        out.update({k: _thaw(v) for k, v in self.params})
+        out = {"group": self.group_spec, "kind": self.kind, **self.params}
         if self.window_extent is not None:
             out["window"] = str(self.window_extent)
         return out
-
-
-def _freeze(v):
-    if isinstance(v, (list, tuple)):
-        return tuple(_freeze(x) for x in v)
-    return v
-
-
-def _thaw(v):
-    if isinstance(v, tuple):
-        return [_thaw(x) for x in v]
-    return v
 
 
 def spec_from_json(obj):
@@ -156,9 +161,9 @@ def spec_from_json(obj):
     kind = data.pop("kind", None)
     if kind not in KINDS:
         raise GroupError(f"unknown set kind: {kind!r}")
-    window = data.pop("window", None)
-    if window is not None:
-        window = int(window)
+    window = None
+    if "window" in data:
+        window = integer(data.pop("window"), "recipe 'window'")
     return SetSpec.make(group_spec, kind, window_extent=window, **data)
 
 

@@ -102,19 +102,24 @@ def _no_one_digits(i):
     return True
 
 
+def cantor_extent(levels):
+    """Window extent of the ``levels``-level set: its last block plus
+    ``CANTOR_WINDOW_MARGIN``."""
+    if not 1 <= levels <= 12:
+        raise GroupError("levels must be in 1..12")
+    return cantor_offsets(levels)[-1] + 3 ** levels + CANTOR_WINDOW_MARGIN
+
+
 def cantor_levels_for_window(extent):
     """Largest level count whose last block still fits the window."""
-    offs = cantor_offsets(13)
-    return max((n for n in range(1, 13)
-                if offs[n - 1] + 3 ** n + CANTOR_WINDOW_MARGIN <= extent),
+    return max((n for n in range(1, 13) if cantor_extent(n) <= extent),
                default=1)
 
 
 def gen_cantor_geodesic(levels):
     """Union of geodesic blocks keeping only indices whose base-3 digits
     avoid 1; block n contributes 2^n points."""
-    if not 1 <= levels <= 12:
-        raise GroupError("levels must be in 1..12")
+    extent = cantor_extent(levels)
     group = IntGroup()
     offs = cantor_offsets(levels)
     out = set()
@@ -123,7 +128,6 @@ def gen_cantor_geodesic(levels):
         for i in range(3 ** n + 1):
             if _no_one_digits(i):
                 out.add(o + i)
-    extent = offs[-1] + 3 ** levels + CANTOR_WINDOW_MARGIN
     return FiniteSample(group, frozenset(out), Window(group, extent))
 
 

@@ -284,3 +284,143 @@ def test_prec_map_value_not_a_string(capsys, tmp_path):
                                "--radius=-1,1")
     assert code == 2
     assert report["error"]["type"] == "GroupError"
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("gen", "--kind", "bogus"), id="bad-kind"),
+    pytest.param(("detect-pwip", "--kind", "powers", "--base", "2"),
+                 id="missing-depth"),
+    pytest.param(("detect-pwip", "--kind", "powers", "--base", "2",
+                  "--depth", "x"), id="non-integer-depth"),
+    pytest.param(("gen", "--kind", "window", "--window", "x"),
+                 id="non-integer-window"),
+    pytest.param(("gen", "--kind", "window", "--no-such-flag"),
+                 id="unknown-flag"),
+    pytest.param((), id="no-command"),
+])
+def test_usage_errors_are_json(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    report = json.loads(err)
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert report["kind"] == "error"
+    assert report["error"]["type"] == "CliError"
+
+
+def test_help_exits_zero(capsys):
+    code, out, err = invoke(capsys, "gen", "--help")
+    assert code == 0
+    assert out.startswith("usage: coarsesets gen")
+    assert err == ""
+
+
+MISSING = object()
+
+# For each integer field, a recipe that is valid once the field is set.
+INTEGER_FIELD_RECIPES = {
+    "modulus": {"group": "z", "kind": "periodic", "residues": ["0"]},
+    "base": {"group": "z", "kind": "powers"},
+    "support": {"group": "z2sum:8", "kind": "wn"},
+    "levels": {"group": "z", "kind": "cantor"},
+    "window": {"group": "z", "kind": "window"},
+}
+BAD_INTEGERS = {"missing": MISSING, "null": None, "float": 2.9, "true": True,
+                "string": "x"}
+
+
+@pytest.mark.parametrize("field,bad", [
+    pytest.param(field, bad, id=f"{field}-{bad}")
+    for field in INTEGER_FIELD_RECIPES for bad in BAD_INTEGERS
+    # a recipe without a window uses the group's default window
+    if (field, bad) != ("window", "missing")
+])
+def test_badly_typed_integer_fields(capsys, tmp_path, field, bad):
+    recipe = dict(INTEGER_FIELD_RECIPES[field])
+    if BAD_INTEGERS[bad] is not MISSING:
+        recipe[field] = BAD_INTEGERS[bad]
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps(recipe))
+    code, report = invoke_json(capsys, "gen", "--set", str(spec))
+    assert code == 2
+    assert report["error"]["type"] == "GroupError"
+    assert report["error"]["message"] == f"recipe {field!r} must be an integer"
+
+
+@pytest.mark.parametrize("modulus,message", [
+    pytest.param(0, "modulus must be >= 1", id="zero"),
+    pytest.param(None, "recipe 'modulus' must be an integer", id="null"),
+])
+def test_density_checks_the_modulus(capsys, tmp_path, modulus, message):
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps({"group": "z", "kind": "periodic",
+                                "modulus": modulus, "residues": ["0"]}))
+    code, report = invoke_json(capsys, "density", "--set", str(spec),
+                               "--nmax", "100")
+    assert code == 2
+    assert report["error"]["type"] == "GroupError"
+    assert report["error"]["message"] == message
+
+
+def test_prec_map_window_not_an_integer(capsys, tmp_path):
+    mapfile = tmp_path / "map.json"
+    mapfile.write_text(json.dumps(
+        {"domain_group": "z", "pairs": {"1": "2"}, "window": "x"}))
+    code, report = invoke_json(capsys, "prec", "--map", str(mapfile),
+                               "--radius=-1,1")
+    assert code == 2
+    assert report["error"]["type"] == "GroupError"
+    assert report["error"]["message"] == "map 'window' must be an integer"
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(("--kind", "periodic", "--modulus", "x", "--residues", "0"),
+                 "recipe 'modulus' must be an integer", id="modulus"),
+    pytest.param(("--kind", "periodic", "--modulus", "3", "--residues", "0,y"),
+                 "recipe 'residues' entry must be an integer", id="residue"),
+    pytest.param(("--kind", "ip", "--rule", "", "--generators", "1,2"),
+                 "unknown ip rule: ''", id="empty-rule"),
+    pytest.param(("--group", "z^2", "--kind", "cantor", "--levels", "2"),
+                 "cantor recipes require the group z", id="cantor-group"),
+])
+def test_badly_typed_recipe_flags(capsys, argv, message):
+    code, report = invoke_json(capsys, "gen", *argv)
+    assert code == 2
+    assert report["error"]["type"] == "GroupError"
+    assert report["error"]["message"] == message
+
+
+@pytest.mark.parametrize("flags,recipe", [
+    pytest.param(("--kind", "explicit", "--elements", "1,5,9"),
+                 {"kind": "explicit", "elements": ["1", "5", "9"]},
+                 id="explicit"),
+    pytest.param(("--kind", "periodic", "--modulus", "3", "--residues", "0,2",
+                  "--window", "30"),
+                 {"kind": "periodic", "modulus": 3, "residues": ["0", "2"],
+                  "window": 30}, id="periodic"),
+    pytest.param(("--kind", "powers", "--base", "3", "--window", "500"),
+                 {"kind": "powers", "base": 3, "window": 500}, id="powers"),
+    pytest.param(("--kind", "ip", "--generators", "1,5,30"),
+                 {"kind": "ip", "generators": ["1", "5", "30"]}, id="ip"),
+    pytest.param(("--kind", "ip", "--rule", "powers", "--base", "3",
+                  "--window", "400"),
+                 {"kind": "ip", "rule": "powers", "base": "3", "window": 400},
+                 id="ip-rule-powers"),
+    pytest.param(("--kind", "pwip", "--generators", "1,5,30",
+                  "--shifts", "0,100,-7"),
+                 {"kind": "pwip", "generators": ["1", "5", "30"],
+                  "shifts": ["0", "100", "-7"]}, id="pwip"),
+    pytest.param(("--group", "z2sum:6", "--kind", "wn", "--support", "2"),
+                 {"group": "z2sum:6", "kind": "wn", "support": 2}, id="wn"),
+    pytest.param(("--kind", "cantor", "--levels", "3"),
+                 {"kind": "cantor", "levels": 3}, id="cantor"),
+])
+def test_flag_recipe_matches_file_recipe(capsys, tmp_path, flags, recipe):
+    spec = tmp_path / "recipe.json"
+    spec.write_text(json.dumps({"group": "z", **recipe}))
+    code, by_flags, err = invoke(capsys, "gen", *flags)
+    assert (code, err) == (0, "")
+    code, by_file, err = invoke(capsys, "gen", "--set", str(spec))
+    assert (code, err) == (0, "")
+    assert by_flags == by_file
+    assert json.loads(by_flags)["size"] != "0"

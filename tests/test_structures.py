@@ -8,11 +8,12 @@ from coarsesets.groups import (FiniteSample, FreeGroup, GroupError, IntGroup,
                                LatticeGroup, Window, XorGroup)
 from coarsesets.structures import (CANTOR_WINDOW_MARGIN, NestedChain,
                                    PwipWitness, _quotient_pool,
-                                   cantor_levels_for_window,
+                                   cantor_extent, cantor_levels_for_window,
                                    cantor_offsets, detect_pwip,
                                    extract_pwip_from_chain,
                                    gen_cantor_geodesic, gen_ip, gen_pwip,
                                    gen_wn)
+from coarsesets.recipes import SetSpec
 
 import oracles
 
@@ -297,3 +298,14 @@ def test_extract_single_level():
     chain = NestedChain(Z, sets, (2,), (3,))
     out = extract_pwip_from_chain(chain)
     assert out.elements == frozenset({3, 5})
+
+
+def test_cantor_extent():
+    for n in range(1, 8):
+        top = max(gen_cantor_geodesic(n).elements)
+        assert cantor_extent(n) == top + 1 + CANTOR_WINDOW_MARGIN
+        spec = SetSpec.make("z", "cantor", levels=n)
+        assert spec.resolve().window.extent == cantor_extent(n)
+    for bad in (0, 13):
+        with pytest.raises(GroupError):
+            cantor_extent(bad)
