@@ -1,9 +1,10 @@
 """Golden outputs: the sha256 of stdout and the exit code of fixed CLI runs.
 
 The hashes in ``golden_sha256.json`` pin the JSON the CLI prints for the
-acceptance battery, for one input per group family, and for the pwip
+acceptance battery, for one input per group family, for the pwip
 detector at depths 1-3 and the ``ip``/``pwip`` generators on every
-family, so a refactor that changes any byte of a report fails here.  After an intended output
+family, and for ``density``, ``density-pwip`` and ``prec`` on z, so a
+refactor that changes any byte of a report fails here.  After an intended output
 change, regenerate the file with ``PYTHONPATH=src python tests/test_golden.py``
 and say in the change log which outputs moved.
 """
@@ -136,7 +137,34 @@ CASES.update({
                         "--budget", "small"],
                        {"group": "z", "kind": "periodic", "modulus": 5,
                         "residues": ["0", "2"]}),
+    "density-pwip/z/window50": (
+        ["density-pwip", "--set", "{set}", "--depth", "3", "--window", "50",
+         "--budget", "small"],
+        {"group": "z", "kind": "periodic", "modulus": 5,
+         "residues": ["0", "2"]}),
 })
+
+# density on the closed-form periodic count and on an explicit set; the
+# step 70 does not divide n_max, so the last entry is n_max itself.
+PERIODIC_SET = {"group": "z", "kind": "periodic", "modulus": 7,
+                "residues": ["0", "3", "4"]}
+CASES.update({
+    "density/periodic": (["density", "--set", "{set}", "--nmax", "1000"],
+                         PERIODIC_SET),
+    "density/periodic/step70": (["density", "--set", "{set}", "--nmax",
+                                 "1000", "--step", "70"], PERIODIC_SET),
+    "density/explicit": (["density", "--set", "{set}", "--nmax", "500"],
+                         {"group": "z", "kind": "explicit",
+                          "elements": [str(n * n) for n in range(-20, 21)]}),
+})
+
+# prec on the doubling map x -> 2x, written to the file "{set}" names.
+DOUBLING_MAP = {"domain_group": "z", "window": 120,
+                "pairs": {str(x): str(2 * x) for x in range(-120, 121)}}
+for _budget in ("small", "medium"):
+    CASES[f"prec/z/{_budget}"] = (
+        ["prec", "--map", "{set}", "--radius=-1,1", "--budget", _budget],
+        DOUBLING_MAP)
 
 
 def run_case(name, directory):
