@@ -17,8 +17,6 @@ from . import structures
 from .geometry import chain_partition, restricted_ball, word_radius
 from .groups import FiniteSample, GroupError
 
-SCHEMA = "coarse-sets/1"
-
 
 @dataclass(frozen=True)
 class ThinReport:
@@ -95,13 +93,14 @@ def _translate_intersection(group, F, elements):
     return out or set()
 
 
-def sparse_witness(sample, xset, scale, max_size=3, threshold=None):
+def sparse_witness(sample, xset, scale):
     """Smallest F inside X whose translate intersection with the sample
     is window-stable-finite.
 
-    Candidates are subsets of X (size, then lexicographic), drawn from a
-    deterministically capped pool.  Stability compares the intersection
-    size against the sample regenerated in the enlarged window.
+    Candidates are subsets of X of 1 to 3 elements (size, then
+    lexicographic), drawn from a deterministically capped pool.
+    Stability compares the intersection size against the sample
+    regenerated in the enlarged window.
     """
     group = sample.group
     X = xset.elements
@@ -112,7 +111,7 @@ def sparse_witness(sample, xset, scale, max_size=3, threshold=None):
     outer = sample.resample(outer_window) if window else sample
     pool = sorted(X, key=group.sort_key)[: max(scale.pool_cap // 16, 8)]
     checked = 0
-    for size in range(1, max_size + 1):
+    for size in (1, 2, 3):
         for F in combinations(pool, size):
             if checked >= scale.pool_cap:
                 break
@@ -120,8 +119,6 @@ def sparse_witness(sample, xset, scale, max_size=3, threshold=None):
             inner_i = _translate_intersection(group, F, sample.elements)
             outer_i = _translate_intersection(group, F, outer.elements)
             if len(inner_i) != len(outer_i):
-                continue
-            if threshold is not None and len(inner_i) > threshold:
                 continue
             return SparseReport("WITNESS_FOUND", F,
                                 tuple(sorted(inner_i, key=group.sort_key)),
@@ -216,7 +213,6 @@ def classify(sample, scale):
     the maximal pwip depth found within budget."""
     group = sample.group
     out = {
-        "schema": SCHEMA,
         "kind": "classify",
         "group": group.spec,
         "size": str(len(sample)),

@@ -19,7 +19,7 @@ from .groups import (BudgetExceededError, FiniteSample, GroupError,
                      group_from_spec)
 from .recipes import KINDS, SetSpec, integer, spec_from_file
 
-SCHEMA = classifiers.SCHEMA
+SCHEMA = "coarse-sets/1"
 
 NEGATIVE_VERDICTS = {
     "NOT_FOUND", "NO_ISOLATED_BALLS_AT_SCALE", "NO_WITNESS_AT_SCALE",
@@ -81,26 +81,35 @@ def _spec_from_args(args):
                         **params)
 
 
-def _emit(report, args):
-    text = json.dumps(report, indent=2, sort_keys=False)
+def _side_sample(path, sample):
+    """The sample of a side recipe file (``--xset``, ``--ambient``) in the
+    main sample's window; the file must name the main sample's group."""
+    spec = spec_from_file(path)
+    group = spec.group()
+    if group != sample.group:
+        raise GroupError(f"{path} names the group {group.spec}, "
+                         f"but the sample's group is {sample.group.spec}")
+    return spec.resolve(group, sample.window)
+
+
+def _emit(body, args):
+    """Print a command's report body under the schema header, write it to
+    ``--out`` too, and return the exit code its verdict maps to."""
+    report = {"schema": SCHEMA, **body}
+    text = json.dumps(report, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     print(text)
-    verdict = report.get("verdict")
-    return 1 if verdict in NEGATIVE_VERDICTS else 0
+    return 1 if report.get("verdict") in NEGATIVE_VERDICTS else 0
 
 
-def _emit_report(rep, group, args):
-    """Emit a report object's JSON under the schema and group header."""
-    return _emit({"schema": SCHEMA, "group": group.spec,
-                  **rep.to_json_dict(group)}, args)
+# Each cmd_* returns its report body; run() emits it.
 
-
-def _sample_json(sample):
+def cmd_gen(args):
+    sample = _load_sample(args)
     group = sample.group
     return {
-        "schema": SCHEMA,
         "kind": "sample",
         "group": group.spec,
         "size": str(len(sample)),
@@ -108,18 +117,12 @@ def _sample_json(sample):
     }
 
 
-def cmd_gen(args):
-    sample = _load_sample(args)
-    return _emit(_sample_json(sample), args)
-
-
 def cmd_ball(args):
     group = group_from_spec(args.group)
     center = group.parse(args.center)
     radius = _parse_radius(group, args.radius)
     elems = ball(group, center, radius)
-    report = {
-        "schema": SCHEMA,
+    return {
         "kind": "ball",
         "group": group.spec,
         "center": group.render(center),
@@ -127,7 +130,6 @@ def cmd_ball(args):
         "elements": [group.render(x) for x in
                      sorted(elems, key=group.sort_key)],
     }
-    return _emit(report, args)
 
 
 def cmd_chain(args):
@@ -136,8 +138,7 @@ def cmd_chain(args):
     start = group.parse(args.start)
     radius = _parse_radius(group, args.radius)
     comp = chain_component(sample, start, radius)
-    report = {
-        "schema": SCHEMA,
+    return {
         "kind": "chain-component",
         "group": group.spec,
         "start": group.render(start),
@@ -145,7 +146,6 @@ def cmd_chain(args):
         "size": str(len(comp)),
         "elements": [group.render(x) for x in sorted(comp, key=group.sort_key)],
     }
-    return _emit(report, args)
 
 
 def cmd_cellular(args):
@@ -153,7 +153,7 @@ def cmd_cellular(args):
     group = sample.group
     radius = _parse_radius(group, args.radius)
     rep = cellularity_probe(sample, radius, budgets.preset(args.budget))
-    return _emit_report(rep, group, args)
+    return {"group": group.spec, **rep.to_json_dict(group)}
 
 
 def cmd_prec(args):
@@ -171,28 +171,25 @@ def cmd_prec(args):
     radius = _parse_radius(group, args.radius)
     rep = prec_mapping_check(mapping, domain, radius,
                              budgets.preset(args.budget), codomain=cod)
-    return _emit_report(rep, group, args)
+    return {"group": group.spec, **rep.to_json_dict(group)}
 
 
 def cmd_detect_pwip(args):
     sample = _load_sample(args)
     scale = budgets.preset(args.budget)
     witness = structures.detect_pwip(sample, args.depth, scale=scale)
-    report = {
-        "schema": SCHEMA,
+    return {
         "kind": "pwip-detect",
         "group": sample.group.spec,
         "depth": str(args.depth),
         "verdict": "FOUND" if witness else "NOT_FOUND",
         "witness": witness.to_json_dict() if witness else None,
     }
-    return _emit(report, args)
 
 
 def cmd_classify(args):
     sample = _load_sample(args)
-    report = classifiers.classify(sample, budgets.preset(args.budget))
-    return _emit(report, args)
+    return classifiers.classify(sample, budgets.preset(args.budget))
 
 
 def cmd_thin(args):
@@ -200,30 +197,24 @@ def cmd_thin(args):
     group = sample.group
     radius = _parse_radius(group, args.radius)
     rep = classifiers.thin_degree(sample, radius, budgets.preset(args.budget))
-    return _emit_report(rep, group, args)
+    return {"group": group.spec, **rep.to_json_dict(group)}
 
 
 def cmd_sparse(args):
     sample = _load_sample(args)
     group = sample.group
-    if args.xset:
-        xspec = spec_from_file(args.xset)
-        xsample = xspec.resolve(group, sample.window)
-    else:
-        xsample = sample
+    xsample = _side_sample(args.xset, sample) if args.xset else sample
     rep = classifiers.sparse_witness(sample, xsample, budgets.preset(args.budget))
-    return _emit_report(rep, group, args)
+    return {"group": group.spec, **rep.to_json_dict(group)}
 
 
 def cmd_scattered(args):
     sample = _load_sample(args)
     group = sample.group
-    ambient = None
-    if args.ambient:
-        ambient = spec_from_file(args.ambient).resolve(group, sample.window)
+    ambient = _side_sample(args.ambient, sample) if args.ambient else None
     rep = classifiers.isolated_balls_verdict(
         sample, budgets.preset(args.budget), ambient=ambient)
-    return _emit_report(rep, group, args)
+    return {"group": group.spec, **rep.to_json_dict(group)}
 
 
 def _density_recipe(args):
@@ -235,18 +226,13 @@ def _density_recipe(args):
 def cmd_density(args):
     recipe = _density_recipe(args)
     profile = density.upper_density_profile(recipe, args.nmax, step=args.step)
-    report = {"schema": SCHEMA, **profile.to_json_dict()}
-    return _emit(report, args)
+    return profile.to_json_dict()
 
 
 def cmd_density_pwip(args):
-    recipe = _density_recipe(args)
-    rep = density.density_pwip_experiment(
-        recipe, args.depth,
-        window_extent=100 if args.window is None else args.window,
+    return density.density_pwip_experiment(
+        _density_recipe(args), args.depth, window_extent=args.window,
         scale=budgets.preset(args.budget))
-    report = {"schema": SCHEMA, **rep}
-    return _emit(report, args)
 
 
 def _add_set_args(p):
@@ -328,7 +314,7 @@ def build_parser():
 def run(argv):
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        return _emit(args.fn(args), args)
     except SystemExit as exc:   # --help
         return exc.code or 0
     except (GroupError, BudgetExceededError, CliError, OSError,

@@ -34,13 +34,9 @@ class DensityProfile:
 
 
 def _periodic_count(q, residues, n):
-    """|{x in [-n, n] : x mod q in residues}| in closed form."""
-    total = 0
-    for r in residues:
-        # x = r + kq in [-n, n]
-        lo = -(n + r) // q if (n + r) % q == 0 else -((n + r) // q)
-        total += (n - r) // q - lo + 1
-    return total
+    """|{x in [-n, n] : x mod q in residues}| in closed form: x = r + kq
+    lies in [-n, n] for k from -((n + r) // q) to (n - r) // q."""
+    return sum((n - r) // q + (n + r) // q + 1 for r in residues)
 
 
 def _counter_for(recipe, n_max):
@@ -55,32 +51,33 @@ def _counter_for(recipe, n_max):
 
 def upper_density_profile(recipe, n_max, step=None):
     """Exact membership counts on nested symmetric intervals; the
-    estimate is the tail-half maximum of count/(2n+1)."""
+    estimate is the tail-half maximum of count/(2n+1).  The radii are
+    the multiples of ``step`` below n_max, then n_max itself."""
     if not 1 <= n_max <= 10**7:
         raise GroupError("n_max must be in 1..10^7")
-    if not isinstance(recipe.group(), IntGroup):
-        raise GroupError("density profiles require the group z")
     if step is None:
         step = max(n_max // 100, 1)
+    if step < 1:
+        raise GroupError("step must be >= 1")
+    if not isinstance(recipe.group(), IntGroup):
+        raise GroupError("density profiles require the group z")
     count = _counter_for(recipe, n_max)
     entries = []
-    n = step
-    while n <= n_max:
+    for n in (*range(step, n_max, step), n_max):
         c = count(n)
         entries.append((n, c, c / (2 * n + 1)))
-        n += step
-    if entries[-1][0] != n_max:
-        c = count(n_max)
-        entries.append((n_max, c, c / (2 * n_max + 1)))
     tail = [r for n, _, r in entries if n >= n_max / 2]
     return DensityProfile(tuple(entries), n_max, max(tail))
 
 
-def density_pwip_experiment(recipe, depth, window_extent=100, scale=None):
+def density_pwip_experiment(recipe, depth, window_extent=None, scale=None):
     """Detect shifted-product structure in the windowed set and pair the
-    outcome with the density estimate."""
+    outcome with the density estimate.  The window extent defaults to
+    100 and the scale to the large preset."""
     if not 1 <= depth <= 4:
         raise GroupError("experiment depth must be in 1..4")
+    if window_extent is None:
+        window_extent = 100
     scale = scale or budgets.preset("large")
     group = IntGroup()
     window = Window(group, window_extent)

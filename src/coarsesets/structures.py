@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import budgets
 from .groups import (FiniteSample, GroupError, IntGroup, XorGroup, Window)
 
 MAX_GENERATORS = 20
@@ -184,12 +185,13 @@ def _quotient_pool(group, elements, cap):
     return ordered[:cap]
 
 
-def detect_pwip(sample, depth, scale=None, pool_cap=4096):
+def detect_pwip(sample, depth, scale=None):
     """Exact-depth witness search inside the sample, or None.
 
     The 2^d - 1 products are picked in the sample consistently with the
     product equations; generators are solved from them and must fall in
-    the quotient pool (capped at ``pool_cap``).
+    the quotient pool, capped at the scale's ``pool_cap`` (the large
+    preset's when no scale is given).
     """
     if depth < 1:
         raise GroupError("depth must be >= 1")
@@ -197,10 +199,9 @@ def detect_pwip(sample, depth, scale=None, pool_cap=4096):
     elems = sample.elements
     if 2 ** depth - 1 > len(elems):
         return None              # not enough room for the distinct products
-    if scale is not None:
-        pool_cap = scale.pool_cap
+    scale = scale or budgets.preset("large")
     ordered = sorted(elems, key=group.sort_key)
-    pool_list = _quotient_pool(group, ordered, pool_cap)
+    pool_list = _quotient_pool(group, ordered, scale.pool_cap)
     pool = frozenset(pool_list)
     mul = group.mul
 

@@ -424,3 +424,44 @@ def test_flag_recipe_matches_file_recipe(capsys, tmp_path, flags, recipe):
     assert (code, err) == (0, "")
     assert by_flags == by_file
     assert json.loads(by_flags)["size"] != "0"
+
+
+@pytest.mark.parametrize("step", ["0", "-1"])
+def test_density_step_must_be_positive(capsys, tmp_path, step):
+    spec = tmp_path / "thirds.json"
+    spec.write_text(json.dumps(
+        {"group": "z", "kind": "periodic", "modulus": 3, "residues": ["0"]}))
+    code, report = invoke_json(capsys, "density", "--set", str(spec),
+                               "--nmax", "100", "--step=" + step)
+    assert code == 2
+    assert report["error"] == {"type": "GroupError",
+                               "message": "step must be >= 1"}
+
+
+def test_density_step_above_nmax(capsys, tmp_path):
+    spec = tmp_path / "thirds.json"
+    spec.write_text(json.dumps(
+        {"group": "z", "kind": "periodic", "modulus": 3, "residues": ["0"]}))
+    code, report = invoke_json(capsys, "density", "--set", str(spec),
+                               "--nmax", "10", "--step", "20")
+    assert code == 0
+    assert report["profile"] == [
+        {"n": "10", "count": "7", "ratio": repr(7 / 21)}]
+
+
+@pytest.mark.parametrize("command, flag", [("sparse", "--xset"),
+                                           ("scattered", "--ambient")])
+def test_side_file_must_name_the_sample_group(capsys, tmp_path, command, flag):
+    side = tmp_path / "side.json"
+    argv = (command, "--group", "z", "--kind", "window", "--window", "64",
+            "--budget", "small", flag, str(side))
+    side.write_text(json.dumps({"group": "free:2", "kind": "window",
+                                "window": 2}))
+    code, report = invoke_json(capsys, *argv)
+    assert code == 2
+    assert report["error"]["type"] == "GroupError"
+    assert "free:2" in report["error"]["message"]
+    side.write_text(json.dumps({"group": " Z ", "kind": "window"}))
+    code, report = invoke_json(capsys, *argv)
+    assert code in (0, 1)
+    assert report["kind"] != "error"

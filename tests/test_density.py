@@ -22,11 +22,17 @@ def test_multiples_of_three():
 
 
 def test_periodic_counts_exact():
-    profile = upper_density_profile(periodic(5, [1, 3]), 1000, step=100)
-    for n, count, ratio in profile.entries:
-        explicit = sum(1 for x in range(-n, n + 1) if x % 5 in (1, 3))
-        assert count == explicit
-        assert ratio == count / (2 * n + 1)
+    cases = [(5, [1, 3], 1000, 100)]
+    for q in range(1, 13):
+        for residues in ([0], [q - 1], list(range(0, q, 2)), list(range(q))):
+            cases.append((q, residues, 60, 1))
+    for q, residues, n_max, step in cases:
+        profile = upper_density_profile(periodic(q, residues), n_max,
+                                        step=step)
+        for n, count, ratio in profile.entries:
+            explicit = sum(1 for x in range(-n, n + 1) if x % q in residues)
+            assert count == explicit, (q, residues, n)
+            assert ratio == count / (2 * n + 1)
 
 
 def test_periodic_oscillation_bound():
@@ -64,6 +70,15 @@ def test_density_bad_inputs():
         upper_density_profile(periodic(3, [0]), 0)
     with pytest.raises(GroupError):
         upper_density_profile(SetSpec.make("z^2", "explicit", elements=[]), 100)
+    for step in (0, -1):
+        with pytest.raises(GroupError, match="step"):
+            upper_density_profile(periodic(3, [0]), 100, step=step)
+
+
+def test_step_above_n_max_gives_n_max_alone():
+    profile = upper_density_profile(periodic(3, [0]), 10, step=20)
+    assert profile.entries == ((10, 7, 7 / 21),)
+    assert profile.estimate == 7 / 21
 
 
 def test_density_pwip_on_evens():
