@@ -2,7 +2,7 @@
 
 The hashes in ``golden_sha256.json`` pin the JSON the CLI prints for the
 acceptance battery, for one input per group family, for the pwip
-detector at depths 1-3 and the ``ip``/``pwip`` generators on every
+detector at depths 1-4 and the ``ip``/``pwip`` generators on every
 family, and for ``density``, ``density-pwip`` and ``prec`` on z, so a
 refactor that changes any byte of a report fails here.  After an intended output
 change, regenerate the file with ``PYTHONPATH=src python tests/test_golden.py``
@@ -119,6 +119,34 @@ for _family, _recipe in PWIP_INPUTS.items():
         CASES[f"detect-pwip/{_family}/d{_depth}"] = (
             ["detect-pwip", "--set", "{set}", "--depth", str(_depth),
              "--budget", "small"], _recipe)
+# Depth 4 at the large budget reaches stages 3 and 4 of the search: one
+# input with a witness per family, and two that run it to exhaustion.
+DEPTH4_INPUTS = {
+    "z": {"group": "z", "kind": "window", "window": 16},
+    "z^2": {"group": "z^2", "kind": "window", "window": 2},
+    "z2sum": {"group": "z2sum:6", "kind": "wn", "support": 3},
+    "free": {"group": "free:2", "kind": "window", "window": 3},
+    "z2sum/exhaust": PWIP_INPUTS["z2sum"],
+    "free/exhaust": {"group": "free:2", "kind": "window", "window": 2},
+}
+for _name, _recipe in DEPTH4_INPUTS.items():
+    CASES[f"detect-pwip/{_name}/d4/large"] = (
+        ["detect-pwip", "--set", "{set}", "--depth", "4", "--budget",
+         "large"], _recipe)
+# Sets whose quotients y.x^-1 are all distinct have no depth-3 witness:
+# stage 2 would need g_0 = (g_0.x).x^-1 = (g_0.t).t^-1 with x != t.
+DISTINCT_QUOTIENTS = {
+    "z": ["1", "2", "4", "8", "13", "21", "31", "45", "66", "81", "97",
+          "123", "148", "182", "204", "252"],
+    "free": ["aa", "aba", "BBa", "abaBa", "abA", "bb", "b", "BBAA", "bba",
+             "ABABA", "AAB", "BaB"],
+}
+for _family, _elements in DISTINCT_QUOTIENTS.items():
+    CASES[f"detect-pwip/{_family}/d3/distinct-quotients"] = (
+        ["detect-pwip", "--set", "{set}", "--depth", "3", "--budget",
+         "large"],
+        {"group": _GROUPS[_family], "kind": "explicit",
+         "elements": _elements})
 for _family, (_gens, _shifts) in GEN_RECIPES.items():
     _group = _GROUPS[_family]
     CASES[f"gen-ip/{_family}"] = (["gen", "--set", "{set}"], {
