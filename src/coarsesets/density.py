@@ -73,9 +73,12 @@ def upper_density_profile(recipe, n_max, step=None):
 def density_pwip_experiment(recipe, depth, window_extent=None, scale=None):
     """Detect shifted-product structure in the windowed set and pair the
     outcome with the density estimate.  The window extent defaults to
-    100 and the scale to the large preset."""
+    the recipe's own window, else 100, and the scale to the large
+    preset."""
     if not 1 <= depth <= 4:
         raise GroupError("experiment depth must be in 1..4")
+    if window_extent is None:
+        window_extent = recipe.window_extent
     if window_extent is None:
         window_extent = 100
     scale = scale or budgets.preset("large")

@@ -68,10 +68,14 @@ def gen_pwip(group, gens, shifts):
     _check_injective(group, gens)
     for b in shifts:
         group.validate(b)
-    prods = _subset_products(group, gens)
+    # layer j holds the products whose largest index is j, merged as
+    # they are built: L_j = P_j.g_j and P_{j+1} = P_j | L_j.
+    prods = {group.identity()}
     out = set()
-    for j, b in enumerate(shifts):
-        out |= group.products(prods[2 ** j:2 ** (j + 1)], (b,))
+    for g, b in zip(gens, shifts):
+        layer = group.products(prods, (g,))
+        out |= group.products(layer, (b,))
+        prods |= layer
     return FiniteSample(group, frozenset(out))
 
 
@@ -185,6 +189,13 @@ def _quotient_pool(group, elements, cap):
     return ordered[:cap]
 
 
+def _chain_step(group, cands, g):
+    """The next chain set A & g^-1.A of the candidate list A: the x in A
+    with g.x in A, in the order of A."""
+    kept = group.products((group.inv(g),), cands) & set(cands)
+    return [x for x in cands if x in kept]
+
+
 def detect_pwip(sample, depth, scale=None):
     """Exact-depth witness search inside the sample, or None.
 
@@ -206,14 +217,14 @@ def detect_pwip(sample, depth, scale=None):
     mul = group.mul
 
     def translate(prefix, x, taken):
-        """The products p.x over the prefix, or None if one leaves the
-        sample or is taken.  They are distinct because the prefix
-        products are: their translates at the previous stage filled two
-        disjoint parts."""
+        """The products p.x over the prefix, or None if one is taken.
+        They lie in the sample because x is a candidate, and they are
+        distinct because the prefix products are: their translates at
+        the previous stage filled two disjoint parts."""
         out = []
         for p in prefix:
             v = mul(p, x)
-            if v not in elems or v in taken:
+            if v in taken:
                 return None
             out.append(v)
         return out
@@ -222,32 +233,38 @@ def detect_pwip(sample, depth, scale=None):
     # g_{j-1} = t.x^-1 and, by translating the products over subsets of
     # {0..j-2}, every product whose largest index is j.  ``found`` holds
     # those products in subset-mask order from mask 2 on; P({0}) is free
-    # and is picked last.
-    def extend(stage, gens, found):
+    # and is picked last.  Both x and t come from ``cands``, the chain
+    # set A_j of the sample elements whose prefix translates all lie in
+    # the sample; the generator g picked at stage j shrinks it to
+    # A_{j+1} = A_j & g^-1.A_j.  Every element left out would fail
+    # ``translate``, so the search takes the same branches in the same
+    # order as over the whole sample.
+    def extend(stage, gens, found, cands):
         taken = set(found)
         if stage == depth:
             # 2^d - 1 <= |sample| leaves at least one element untaken
             return gens, [next(x for x in ordered if x not in taken)] + found
         prefix = _subset_products(group, gens)
-        for xj in ordered:
+        for xj in cands:
             part1 = translate(prefix, xj, taken)
             if part1 is None:
                 continue
             taken1 = taken.union(part1)
             xj_inv = group.inv(xj)
-            for t in ordered:
+            for t in cands:
                 gj = mul(t, xj_inv)
                 if gj not in pool or gj in gens:
                     continue
                 part2 = translate(prefix, t, taken1)
                 if part2 is None:
                     continue
-                hit = extend(stage + 1, gens + [gj], found + part1 + part2)
+                hit = extend(stage + 1, gens + [gj], found + part1 + part2,
+                             _chain_step(group, cands, gj))
                 if hit is not None:
                     return hit
         return None
 
-    hit = extend(1, [], [])
+    hit = extend(1, [], [], ordered)
     if hit is None:
         return None
     gens, values = hit

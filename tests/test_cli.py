@@ -213,6 +213,20 @@ def test_density_pwip_window_zero(capsys, tmp_path):
     assert report["sample_size"] == "1"
 
 
+def test_density_pwip_reads_the_recipe_window(capsys, tmp_path):
+    spec = tmp_path / "evens.json"
+    spec.write_text(json.dumps(
+        {"group": "z", "kind": "periodic", "modulus": 2, "residues": ["0"],
+         "window": 512}))
+    code, report = invoke_json(capsys, "density-pwip", "--set", str(spec),
+                               "--depth", "1")
+    assert code == 0
+    assert (report["window"], report["sample_size"]) == ("512", "513")
+    code, report = invoke_json(capsys, "density-pwip", "--set", str(spec),
+                               "--depth", "1", "--window", "40")
+    assert (report["window"], report["sample_size"]) == ("40", "41")
+
+
 def test_density_accepts_every_spelling_of_z(capsys, tmp_path):
     spec = tmp_path / "thirds.json"
     spec.write_text(json.dumps(

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from coarsesets.groups import (FiniteSample, FreeGroup, GroupError, IntGroup,
                                LatticeGroup, Window, XorGroup)
 from coarsesets.structures import (CANTOR_WINDOW_MARGIN, NestedChain,
-                                   PwipWitness, _quotient_pool,
+                                   PwipWitness, _chain_step, _quotient_pool,
+                                   _subset_products,
                                    cantor_extent, cantor_levels_for_window,
                                    cantor_offsets, detect_pwip,
                                    extract_pwip_from_chain,
@@ -218,6 +219,59 @@ def test_detect_pwip_oracle_equivalence():
                 assert got.validate(elems)
             checked += 1
     assert checked >= 200
+
+
+def _chain_universes():
+    lattice, free = LatticeGroup(2), FreeGroup(2)
+    return {
+        "z": (Z, list(range(-12, 13))),
+        "z^2": (lattice, sorted(Window(lattice, 2).elements())),
+        "z2sum": (XorGroup(5), list(range(32))),
+        "free": (free, sorted(free.word_ball(2), key=free.sort_key)),
+    }
+
+
+CHAIN_UNIVERSES = _chain_universes()
+
+
+# free:2 is the case that tells g.x from x.g: on the abelian families a
+# chain step on the wrong side gives the same sets.
+@pytest.mark.parametrize("family", sorted(CHAIN_UNIVERSES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_chain_step_matches_brute_force(family, data):
+    group, universe = CHAIN_UNIVERSES[family]
+    elems = frozenset(data.draw(st.lists(st.sampled_from(universe),
+                                         min_size=1, max_size=14,
+                                         unique=True)))
+    ordered = sorted(elems, key=group.sort_key)
+    # generators among the quotients keep the chain nonempty for a while
+    quotients = sorted({group.div(y, x) for x in ordered for y in ordered},
+                       key=group.sort_key)
+    gens = data.draw(st.lists(st.sampled_from(quotients), max_size=4,
+                              unique=True))
+    cands = ordered
+    for j in range(len(gens) + 1):
+        prefix = _subset_products(group, gens[:j])
+        assert cands == [x for x in ordered
+                         if all(group.mul(p, x) in elems for p in prefix)]
+        if j < len(gens):
+            cands = _chain_step(group, cands, gens[j])
+
+
+@pytest.mark.parametrize("family", sorted(CHAIN_UNIVERSES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_detect_pwip_chain_search_matches_oracle(family, data):
+    group, universe = CHAIN_UNIVERSES[family]
+    elems = frozenset(data.draw(st.lists(st.sampled_from(universe),
+                                         min_size=7, max_size=15,
+                                         unique=True)))
+    sample = FiniteSample(group, elems)
+    got = detect_pwip(sample, 3)
+    assert (got is not None) == oracles.pwip_exists(group, elems, 3)
+    for witness in (got, detect_pwip(sample, 4)):
+        assert witness is None or witness.validate(elems)
 
 
 def test_witness_validate_rejects_tampering():
