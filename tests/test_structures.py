@@ -221,17 +221,13 @@ def test_detect_pwip_oracle_equivalence():
     assert checked >= 200
 
 
-def _chain_universes():
-    lattice, free = LatticeGroup(2), FreeGroup(2)
-    return {
-        "z": (Z, list(range(-12, 13))),
-        "z^2": (lattice, sorted(Window(lattice, 2).elements())),
-        "z2sum": (XorGroup(5), list(range(32))),
-        "free": (free, sorted(free.word_ball(2), key=free.sort_key)),
-    }
-
-
-CHAIN_UNIVERSES = _chain_universes()
+LATTICE, FREE = LatticeGroup(2), FreeGroup(2)
+CHAIN_UNIVERSES = {
+    "z": (Z, list(range(-12, 13))),
+    "z^2": (LATTICE, sorted(Window(LATTICE, 2).elements())),
+    "z2sum": (XorGroup(5), list(range(32))),
+    "free": (FREE, sorted(FREE.word_ball(2), key=FREE.sort_key)),
+}
 
 
 # free:2 is the case that tells g.x from x.g: on the abelian families a
