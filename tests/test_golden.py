@@ -2,8 +2,8 @@
 
 The hashes in ``golden_sha256.json`` pin the JSON the CLI prints for the
 acceptance battery, for one input per group family, for the pwip
-detector at depths 1-4 and the ``ip``/``pwip`` generators on every
-family, and for ``density``, ``density-pwip`` and ``prec`` on z, so a
+detector at depths 1-4, ``sparse`` and the ``ip``/``pwip`` generators
+on every family, and for ``density``, ``density-pwip`` and ``prec`` on z, so a
 refactor that changes any byte of a report fails here.  After an intended output
 change, regenerate the file with ``PYTHONPATH=src python tests/test_golden.py``
 and say in the change log which outputs moved.
@@ -171,6 +171,29 @@ CASES.update({
         {"group": "z", "kind": "periodic", "modulus": 5,
          "residues": ["0", "2"]}),
 })
+
+# sparse on one window or wn set per family.  The z window has no witness,
+# so it runs the whole candidate cap: at small that reaches the 3-element
+# candidates.  The --xset case reads X from the file "{set}" names.
+SPARSE_INPUTS = {
+    "z/window/small": ["--group", "z", "--kind", "window", "--window", "128",
+                       "--budget", "small"],
+    "z/window/medium": ["--group", "z", "--kind", "window", "--window", "128",
+                        "--budget", "medium"],
+    "z^2": ["--group", "z^2", "--kind", "window", "--window", "2",
+            "--budget", "medium"],
+    "z2sum": ["--group", "z2sum:8", "--kind", "wn", "--support", "2",
+              "--budget", "medium"],
+    "free": ["--group", "free:2", "--kind", "window", "--window", "3",
+             "--budget", "medium"],
+}
+for _name, _args in SPARSE_INPUTS.items():
+    CASES[f"sparse/{_name}"] = (["sparse", *_args], None)
+CASES["sparse/z/xset"] = (
+    ["sparse", "--group", "z", "--kind", "periodic", "--modulus", "2",
+     "--residues", "0", "--window", "256", "--xset", "{set}",
+     "--budget", "medium"],
+    {"group": "z", "kind": "explicit", "elements": ["0", "2", "4", "6", "1"]})
 
 # density on the closed-form periodic count and on an explicit set; the
 # step 70 does not divide n_max, so the last entry is n_max itself.
