@@ -100,7 +100,10 @@ def sparse_witness(sample, xset, scale):
     Candidates are subsets of X of 1 to 3 elements (size, then
     lexicographic), drawn from a deterministically capped pool.
     Stability compares the intersection size against the sample
-    regenerated in the enlarged window.
+    regenerated in the enlarged window.  By left invariance,
+    |n_{g in F} gA| = |A n n_{g in F[1:]} (F[0]^-1.g)A|, so both sizes
+    depend only on the quotients F[0]^-1.g and are computed once per
+    quotient tuple; only the winning F builds its intersection.
     """
     group = sample.group
     X = xset.elements
@@ -110,16 +113,24 @@ def sparse_witness(sample, xset, scale):
     outer_window = window.enlarged() if window else None
     outer = sample.resample(outer_window) if window else sample
     pool = sorted(X, key=group.sort_key)[: max(scale.pool_cap // 16, 8)]
+    samples = (sample.elements, outer.elements)
+    sizes = {(): tuple(map(len, samples))}   # quotients -> (inner, outer) size
     checked = 0
     for size in (1, 2, 3):
         for F in combinations(pool, size):
             if checked >= scale.pool_cap:
                 break
             checked += 1
-            inner_i = _translate_intersection(group, F, sample.elements)
-            outer_i = _translate_intersection(group, F, outer.elements)
-            if len(inner_i) != len(outer_i):
+            head = group.inv(F[0])
+            key = tuple(group.mul(head, g) for g in F[1:])
+            if key not in sizes:
+                sizes[key] = tuple(
+                    len(_translate_intersection(group, key, els) & els)
+                    for els in samples)
+            inner_n, outer_n = sizes[key]
+            if inner_n != outer_n:
                 continue
+            inner_i = _translate_intersection(group, F, sample.elements)
             return SparseReport("WITNESS_FOUND", F,
                                 tuple(sorted(inner_i, key=group.sort_key)),
                                 len(inner_i), checked)

@@ -1,13 +1,16 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coarsesets.budgets import Scale, preset
-from coarsesets.classifiers import (classify, isolated_balls_verdict,
-                                    sparse_witness, thin_degree)
+from coarsesets.classifiers import (SparseReport, classify,
+                                    isolated_balls_verdict, sparse_witness,
+                                    thin_degree)
 from coarsesets.geometry import Radius, word_radius
-from coarsesets.groups import (FiniteSample, GroupError, IntGroup, Window,
-                               XorGroup)
+from coarsesets.groups import (FiniteSample, FreeGroup, GroupError, IntGroup,
+                               LatticeGroup, Window, XorGroup)
 from coarsesets.recipes import SetSpec
 from coarsesets.structures import gen_cantor_geodesic
 
@@ -106,6 +109,70 @@ def test_sparse_powers_of_two():
     sample = resolved("powers", base=2, window=512)
     rep = sparse_witness(sample, sample, MEDIUM)
     assert rep.verdict == "WITNESS_FOUND"
+
+
+def _sparse_reference(sample, xset, scale):
+    """sparse_witness from the definition: every candidate F in order,
+    with |n_{g in F} gA| taken from the translates of both samples."""
+    group = sample.group
+    outer = sample.resample(sample.window.enlarged())
+    pool = sorted(xset.elements, key=group.sort_key)[: max(scale.pool_cap // 16, 8)]
+    candidates = [F for size in (1, 2, 3) for F in combinations(pool, size)]
+
+    def meet(F, elements):
+        return set.intersection(*({group.mul(g, a) for a in elements} for g in F))
+
+    for checked, F in enumerate(candidates[: scale.pool_cap], 1):
+        inner = meet(F, sample.elements)
+        if len(inner) == len(meet(F, outer.elements)):
+            return SparseReport("WITNESS_FOUND", F,
+                                tuple(sorted(inner, key=group.sort_key)),
+                                len(inner), checked)
+    return SparseReport("NO_WITNESS_AT_SCALE", None, (), None,
+                        min(len(candidates), scale.pool_cap))
+
+
+# Windowed recipes, so that the enlarged window changes the sample, and X
+# drawn from a wider universe, so that some translates leave the window.
+# free:2 is the case that tells F[0]^-1.g from g.F[0]^-1.
+_LATTICE, _FREE = LatticeGroup(2), FreeGroup(2)
+SPARSE_FAMILIES = {
+    "z": (st.one_of(
+        st.builds(lambda n: SetSpec.make("z", "window", n),
+                  st.integers(4, 40)),
+        st.builds(lambda n, q, r: SetSpec.make(
+            "z", "periodic", n, modulus=q, residues=[str(x) for x in r]),
+            st.integers(8, 60), st.integers(2, 6),
+            st.lists(st.integers(0, 5), min_size=1, max_size=3)),
+        st.builds(lambda n, b: SetSpec.make("z", "powers", n, base=b),
+                  st.integers(8, 200), st.integers(2, 4))),
+        list(range(-120, 121))),
+    "z^2": (st.builds(lambda n: SetSpec.make("z^2", "window", n),
+                      st.integers(1, 2)),
+            sorted(Window(_LATTICE, 6).elements())),
+    "z2sum": (st.one_of(
+        st.builds(lambda n: SetSpec.make("z2sum:5", "wn", n, support=n // 2),
+                  st.integers(2, 5)),
+        st.builds(lambda n: SetSpec.make("z2sum:5", "window", n),
+                  st.integers(1, 4))),
+        list(range(256))),
+    "free": (st.builds(lambda n: SetSpec.make("free:2", "window", n),
+                       st.integers(1, 2)),
+             sorted(_FREE.word_ball(4), key=_FREE.sort_key)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SPARSE_FAMILIES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sparse_witness_matches_definition(family, data):
+    specs, universe = SPARSE_FAMILIES[family]
+    sample = data.draw(specs).resolve()
+    group = sample.group
+    xset = FiniteSample(group, frozenset(data.draw(st.lists(
+        st.sampled_from(universe), min_size=1, max_size=10, unique=True))))
+    assert sparse_witness(sample, xset, SMALL) == \
+        _sparse_reference(sample, xset, SMALL)
 
 
 def test_isolated_balls_powers():
