@@ -19,6 +19,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
 from operator import add
 
 WINDOW_CAP = 10**7
@@ -73,6 +74,11 @@ class Group:
     def word_ball(self, r):
         """All elements of word length <= r (r >= 0)."""
         raise NotImplementedError
+
+    def word_ball_size(self, r):
+        """len(word_ball(r)), without building it."""
+        # the window of extent r is the word ball on z and free:k
+        return self.window_size(r)
 
     def window_size(self, extent):
         raise NotImplementedError
@@ -229,6 +235,12 @@ class LatticeGroup(Group):
                       for x in range(-left, left + 1)]
         return frozenset(p for p, _ in points)
 
+    def word_ball_size(self, r):
+        # choose the j nonzero coordinates, their signs, and their
+        # absolute values as a composition of at most r into j parts
+        return sum(2**j * comb(self.d, j) * comb(r, j)
+                   for j in range(self.d + 1))
+
     def window_size(self, extent):
         return (2 * extent + 1) ** self.d
 
@@ -306,6 +318,9 @@ class XorGroup(Group):
         units = self.generators()
         return frozenset(sum(combo) for j in range(min(r, self.m) + 1)
                          for combo in combinations(units, j))
+
+    def word_ball_size(self, r):
+        return sum(comb(self.m, j) for j in range(min(r, self.m) + 1))
 
     def window_size(self, extent):
         return 2 ** extent
@@ -495,10 +510,7 @@ class Window:
         return self.group.window_interior(self.extent, el, margin)
 
     def elements(self):
-        size = self.size()
-        if size > WINDOW_CAP:
-            raise BudgetExceededError(
-                f"window of {size} elements exceeds cap {WINDOW_CAP}")
+        _check_cap(self.group.window_size, self.extent, "window of extent")
         return self.group.window_elements(self.extent)
 
     def enlarged(self):
@@ -506,10 +518,22 @@ class Window:
         return Window(self.group, self.group.enlarged_extent(self.extent))
 
 
+def _check_cap(size, n, what):
+    """Raise BudgetExceededError when size(n) > WINDOW_CAP.  ``size``
+    grows with n, so it is read at 1, 2, 4, ... first: an oversized
+    request stops at a small argument instead of computing a size like
+    the 3**10**8 words of a free:2 ball."""
+    for m in [1 << k for k in range(n.bit_length())] + [n]:
+        if size(m) > WINDOW_CAP:
+            raise BudgetExceededError(
+                f"{what} {n} exceeds the cap of {WINDOW_CAP} elements")
+
+
 def word_ball_elements(group, r):
     """All elements of word length <= r over the canonical generators."""
     if r < 0:
         raise GroupError("word radius must be >= 0")
+    _check_cap(group.word_ball_size, r, "word ball of radius")
     return group.word_ball(r)
 
 

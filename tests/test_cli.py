@@ -194,6 +194,20 @@ def test_non_string_group_spec(capsys, tmp_path):
     assert report["error"]["type"] == "GroupError"
 
 
+@pytest.mark.parametrize("argv", [
+    ("ball", "--group", "z", "--center", "0", "--radius", "wordball:99999999"),
+    ("ball", "--group", "free:2", "--center", "e", "--radius",
+     "wordball:99999999"),
+    ("thin", "--group", "z^2", "--kind", "window", "--window", "2",
+     "--radius", "wordball:99999999"),
+    ("gen", "--group", "free:2", "--kind", "window", "--window", "99999999"),
+])
+def test_oversized_ball_or_window_exits_2(capsys, argv):
+    code, report = invoke_json(capsys, *argv)
+    assert code == 2
+    assert report["error"]["type"] == "BudgetExceededError"
+
+
 @pytest.mark.parametrize("group", ["z", "z^2", "z2sum:4", "free:2"])
 def test_negative_window_rejected(capsys, group):
     code, report = invoke_json(capsys, "gen", "--group", group, "--kind",

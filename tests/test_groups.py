@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coarsesets.budgets import preset
-from coarsesets.groups import (FreeGroup, GroupError, IntGroup, LatticeGroup,
-                               Window, XorGroup, enumerate_window,
+from coarsesets.groups import (BudgetExceededError, FreeGroup, GroupError,
+                               IntGroup, LatticeGroup, Window, XorGroup,
+                               enumerate_window,
                                group_from_spec, reduce_word,
                                word_ball_elements)
 from coarsesets.recipes import SetSpec
@@ -212,6 +213,26 @@ def test_word_ball_is_generator_bfs(group, extent):
     for r in range(extent + 1):
         assert word_ball_elements(group, r) == ball
         ball |= {group.mul(g, w) for w in ball for g in group.generators()}
+
+
+@pytest.mark.parametrize("group", [IntGroup(), LatticeGroup(2),
+                                   LatticeGroup(3), XorGroup(4), FreeGroup(1),
+                                   FreeGroup(2)], ids=lambda g: g.spec)
+def test_word_ball_size_counts_the_ball(group):
+    for r in range(7):
+        assert group.word_ball_size(r) == len(word_ball_elements(group, r))
+
+
+def test_oversized_balls_and_windows_raise_before_building():
+    for group in (IntGroup(), LatticeGroup(3), FreeGroup(2)):
+        with pytest.raises(BudgetExceededError):
+            word_ball_elements(group, 10**8)
+        with pytest.raises(BudgetExceededError):
+            Window(group, 10**8).elements()
+    # a z2sum ball stops growing at the coordinate count
+    assert len(word_ball_elements(XorGroup(4), 10**8)) == 16
+    with pytest.raises(BudgetExceededError):
+        word_ball_elements(XorGroup(10**8), 1)
 
 
 def test_free_window_is_word_ball():
