@@ -52,6 +52,8 @@ def thin_degree(sample, radius, scale):
     outer_sizes = {y: len(restricted_ball(outer, y, radius))
                    for y in outer.interior(margin)}
     cap = max(list(inner_sizes.values()) + list(outer_sizes.values()))
+    # every ball holds its center, so cap >= 1, and at n = cap both
+    # exceptional sets are empty: the loop always returns
     for n in range(1, cap + 1):
         exc_in = {y for y, s in inner_sizes.items() if s > n}
         exc_out = {y for y, s in outer_sizes.items() if s > n}
@@ -59,7 +61,6 @@ def thin_degree(sample, radius, scale):
             return ThinReport(radius.describe(), n,
                               tuple(sorted(exc_in, key=group.sort_key)),
                               len(inner_sizes), True)
-    return ThinReport(radius.describe(), cap, (), len(inner_sizes), True)
 
 
 @dataclass(frozen=True)
