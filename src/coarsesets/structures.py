@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import budgets
-from .groups import (FiniteSample, GroupError, IntGroup, XorGroup, Window)
+from .groups import (FiniteSample, GroupError, IntGroup, XorGroup, Window,
+                     word_ball_elements)
 
 MAX_GENERATORS = 20
 
@@ -84,7 +85,7 @@ def gen_wn(m, n):
     if not 0 <= n <= m <= 24:
         raise GroupError("need 0 <= n <= m <= 24")
     group = XorGroup(m)
-    return FiniteSample(group, group.word_ball(n), Window(group, m))
+    return FiniteSample(group, word_ball_elements(group, n), Window(group, m))
 
 
 CANTOR_WINDOW_MARGIN = 128

@@ -201,6 +201,7 @@ def test_non_string_group_spec(capsys, tmp_path):
     ("thin", "--group", "z^2", "--kind", "window", "--window", "2",
      "--radius", "wordball:99999999"),
     ("gen", "--group", "free:2", "--kind", "window", "--window", "99999999"),
+    ("gen", "--group", "z2sum:24", "--kind", "wn", "--support", "24"),
 ])
 def test_oversized_ball_or_window_exits_2(capsys, argv):
     code, report = invoke_json(capsys, *argv)
