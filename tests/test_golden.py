@@ -209,6 +209,41 @@ CASES.update({
                           "elements": [str(n * n) for n in range(-20, 21)]}),
 })
 
+# Restricted-ball sizes and chain partitions, by kernel.  On z, an integer
+# interval radius (every word ball and thickened word ball) and a gapped
+# one; the smaller-side translate on z^2, free:2 and a z2sum wn set, whose
+# enlargements hold up to the whole cube; and an ambient universe on z.
+CASES.update({
+    "thin/z/window/wordball:3": (
+        ["thin", "--group", "z", "--kind", "window", "--window", "100",
+         "--radius", "wordball:3", "--budget", "small"], None),
+    "thin/z/window/gapped": (
+        ["thin", "--group", "z", "--kind", "window", "--window", "100",
+         "--radius=-3,2", "--budget", "small"], None),
+    "scattered/z^2": (["scattered", "--set", "{set}", "--budget", "small"],
+                      LATTICE_SET),
+    "scattered/free": (["scattered", "--set", "{set}", "--budget", "small"],
+                       FREE_SET),
+    "scattered/z2sum": (["scattered", "--group", "z2sum:8", "--kind", "wn",
+                         "--support", "2", "--budget", "small"], None),
+    "scattered/z/ambient": (
+        ["scattered", "--group", "z", "--kind", "periodic", "--modulus", "10",
+         "--residues", "0", "--window", "300", "--ambient", "{set}",
+         "--budget", "small"],
+        {"group": "z", "kind": "periodic", "modulus": 5,
+         "residues": ["0", "1"]}),
+    "cellular/z/window/wordball:2": (
+        ["cellular", "--group", "z", "--kind", "window", "--window", "64",
+         "--radius", "wordball:2", "--budget", "small"], None),
+    "cellular/z/window/gapped": (
+        ["cellular", "--group", "z", "--kind", "window", "--window", "64",
+         "--radius=-3,3", "--budget", "small"], None),
+    "cellular/z/powers/wordball:2": (
+        ["cellular", "--group", "z", "--kind", "powers", "--base", "2",
+         "--window", "512", "--radius", "wordball:2", "--budget", "small"],
+        None),
+})
+
 # prec on the doubling map x -> 2x, written to the file "{set}" names.
 DOUBLING_MAP = {"domain_group": "z", "window": 120,
                 "pairs": {str(x): str(2 * x) for x in range(-120, 121)}}
