@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import structures
-from .geometry import chain_partition, restricted_ball, word_radius
+from .geometry import ball_sizes, chain_partition, word_radius
 from .groups import FiniteSample, GroupError
 
 
@@ -46,11 +46,9 @@ def thin_degree(sample, radius, scale):
     margin = scale.margin_for(group)
     if sample.window is not None and not sample.interior(margin):
         raise GroupError("window too small for the interior margin")
-    outer = sample.resample(sample.window.enlarged()) if sample.window else sample
-    inner_sizes = {y: len(restricted_ball(sample, y, radius))
-                   for y in sample.interior(margin)}
-    outer_sizes = {y: len(restricted_ball(outer, y, radius))
-                   for y in outer.interior(margin)}
+    outer = sample.outer
+    inner_sizes = ball_sizes(sample, sample.interior(margin), radius)
+    outer_sizes = ball_sizes(outer, outer.interior(margin), radius)
     cap = max(list(inner_sizes.values()) + list(outer_sizes.values()))
     # every ball holds its center, so cap >= 1, and at n = cap both
     # exceptional sets are empty: the loop always returns
@@ -110,11 +108,8 @@ def sparse_witness(sample, xset, scale):
     X = xset.elements
     if not X:
         raise GroupError("sparse witness needs a nonempty X")
-    window = sample.window
-    outer_window = window.enlarged() if window else None
-    outer = sample.resample(outer_window) if window else sample
     pool = sorted(X, key=group.sort_key)[: max(scale.pool_cap // 16, 8)]
-    samples = (sample.elements, outer.elements)
+    samples = (sample.elements, sample.outer.elements)
     sizes = {(): tuple(map(len, samples))}   # quotients -> (inner, outer) size
     checked = 0
     for size in (1, 2, 3):
@@ -184,13 +179,16 @@ def isolated_balls_verdict(sample, scale, ambient=None):
         raise GroupError("interior empty at the requested margin")
     refutations = []
     for F in scale.f_family(group):
-        f_balls = {y: restricted_ball(universe, y, F) for y in interior}
+        f_sizes = ball_sizes(universe, interior, F)
         counts = []
         refuting_h = None
         last_isolated = ()
         for H in scale.h_candidates(F):
-            isolated = [y for y in interior
-                        if restricted_ball(universe, y, H) <= f_balls[y]]
+            # Every H is wordball(t).(F u {e}), which contains F u {e}, so
+            # B_Y(y,F) <= B_Y(y,H), and B_Y(y,H) <= B_Y(y,F) holds exactly
+            # when the two sizes agree.
+            h_sizes = ball_sizes(universe, interior, H)
+            isolated = [y for y in interior if h_sizes[y] == f_sizes[y]]
             counts.append((H.label or "enlargement", len(isolated)))
             last_isolated = tuple(isolated)
             if not isolated:

@@ -3,12 +3,12 @@
 Balls here follow the left-translation convention: the ball of radius F
 (a finite subset of the group) around g is F.g together with g itself.
 Chain components, cellularity probing and mapping checks are all built
-from that single primitive.
+from that single primitive; verdicts that only compare ball sizes count
+them in bulk through ``ball_sizes``, without building a ball.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .groups import GroupError, word_ball_elements
@@ -73,43 +73,28 @@ def restricted_ball(sample, g, radius):
     return ball(sample.group, g, radius) & sample.elements
 
 
-def _chain_bfs(sample, a, K):
-    """The elements of the sample reachable from a by steps x -> k.x
-    (k in the symmetric radius K) that stay inside the sample.  One
-    element at a time: expanding whole frontiers with ``products``
-    costs more memory on large samples."""
-    A = sample.elements
-    mul = sample.group.mul
-    seen = {a}
-    queue = deque([a])
-    while queue:
-        x = queue.popleft()
-        for k in K.elements:
-            y = mul(k, x)
-            if y in A and y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return frozenset(seen)
+def ball_sizes(universe, points, radius):
+    """{y: |B_Y(y, F)|} for every y in ``points`` (which need not lie in
+    Y), Y the universe sample's set; no ball is built."""
+    group = universe.group
+    if radius.group != group:
+        raise GroupError("radius belongs to a different group")
+    steps = radius.elements | {group.identity()}
+    return group.ball_sizes(universe, points, steps)
 
 
 def chain_component(sample, a, radius):
     """All b in A reachable from a by K-chains inside A (K symmetrized)."""
     if a not in sample.elements:
         raise GroupError("chain start element not in the sample")
-    return _chain_bfs(sample, a, radius.symmetrize())
+    return sample.group.chain_component(sample.elements, a,
+                                        radius.symmetrize().elements)
 
 
 def chain_partition(sample, radius):
-    """Chain components of the whole sample, as a list of frozensets."""
-    K = radius.symmetrize()
-    covered = set()
-    comps = []
-    for a in sample.sorted_elements():
-        if a not in covered:
-            comp = _chain_bfs(sample, a, K)
-            covered |= comp
-            comps.append(comp)
-    return comps
+    """Chain components of the whole sample, as a list of frozensets
+    ordered by their least elements."""
+    return sample.group.chain_partition(sample, radius.symmetrize().elements)
 
 
 @dataclass(frozen=True)
@@ -141,14 +126,15 @@ def cellularity_probe(sample, radius, scale):
     if not sample.elements:
         raise GroupError("cellularity probe needs a nonempty sample")
     group = sample.group
-    margin = scale.margin_for(group)
+    interior = sample.interior(scale.margin_for(group))
+    if not interior:
+        raise GroupError("interior empty at the requested margin")
     sym = radius.is_symmetric()
     comps = chain_partition(sample, radius)
     comp_of = {}
     for comp in comps:
         for el in comp:
             comp_of[el] = comp
-    interior = sample.interior(margin)
     best_needed = 0
     offender = None
     for a in interior:
@@ -202,6 +188,8 @@ def prec_mapping_check(mapping, domain, radius, scale, codomain=None):
     X = frozenset(mapping)
     interior = [x for x in domain.interior(scale.margin_for(group))
                 if x in X]
+    if not interior:
+        raise GroupError("interior empty at the requested margin")
 
     def offender(K):
         """The first interior x with f(B_X(x,F)) outside B(f(x),K)."""

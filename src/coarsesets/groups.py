@@ -9,15 +9,18 @@ are inverses).
 Elements are plain payloads (int, tuple of ints, int bit mask, str);
 all operations live on the Group object, which is immutable.  Everything
 that differs between families (arithmetic, encodings, word balls, the
-finite windows a Window forwards to, budget ladders, the default window)
-is a method or attribute of the family's Group subclass, so a new family
-is one new subclass.
+finite windows a Window forwards to, budget ladders, the default window,
+the bulk ball-size and chain-partition kernels) is a method or attribute
+of the family's Group subclass, so a new family is one new subclass.
 """
 
 from __future__ import annotations
 
 import string
+from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from math import comb
 from operator import add
@@ -117,6 +120,45 @@ class Group:
         mul = self.mul
         return {mul(a, b) for a in lefts for b in rights}
 
+    def ball_sizes(self, sample, points, steps):
+        """{y: |Y n steps.y|} for every y in ``points``, Y the sample's
+        set.  f.y lies in Y exactly when f lies in Y.y^-1, so each size
+        right-translates the smaller of ``steps`` and Y by one element."""
+        Y = sample.elements
+        if len(steps) <= len(Y):
+            return {y: len(self.products(steps, (y,)) & Y) for y in points}
+        inv = self.inv
+        return {y: len(self.products(Y, (inv(y),)) & steps) for y in points}
+
+    def chain_component(self, members, a, steps):
+        """The elements of ``members`` reachable from a by steps x -> k.x
+        (k in ``steps``) that stay inside ``members``.  One element at a
+        time: expanding whole frontiers with ``products`` costs more
+        memory on large samples."""
+        mul = self.mul
+        seen = {a}
+        queue = deque([a])
+        while queue:
+            x = queue.popleft()
+            for k in steps:
+                y = mul(k, x)
+                if y in members and y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        return frozenset(seen)
+
+    def chain_partition(self, sample, steps):
+        """The chain components of the sample under the symmetric
+        ``steps``, ordered by their least elements."""
+        covered = set()
+        comps = []
+        for a in sample.ordered:
+            if a not in covered:
+                comp = self.chain_component(sample.elements, a, steps)
+                covered |= comp
+                comps.append(comp)
+        return comps
+
     def __repr__(self):
         return f"Group({self.spec!r})"
 
@@ -138,6 +180,34 @@ class IntGroup(Group):
 
     def products(self, lefts, rights):
         return {a + b for a in lefts for b in rights}
+
+    def ball_sizes(self, sample, points, steps):
+        # steps forming an interval [lo, hi] (every word ball and thickened
+        # word ball): count the sample in [y + lo, y + hi] by bisection
+        if not steps or max(steps) - min(steps) + 1 != len(steps):
+            return super().ball_sizes(sample, points, steps)
+        lo, hi = min(steps), max(steps)
+        order = sample.ordered
+        return {y: bisect_right(order, y + hi) - bisect_left(order, y + lo)
+                for y in points}
+
+    def chain_partition(self, sample, steps):
+        # steps {-r, ..., r}, with or without 0: the components are the
+        # runs of the sorted sample whose consecutive gaps are at most r
+        moves = steps - {0}
+        r = max(moves, default=0)
+        if len(moves) != 2 * r or min(moves, default=0) != -r:
+            return super().chain_partition(sample, steps)
+        comps = []
+        run = []
+        for x in sample.ordered:
+            if run and x - run[-1] > r:
+                comps.append(frozenset(run))
+                run = []
+            run.append(x)
+        if run:
+            comps.append(frozenset(run))
+        return comps
 
     def inv(self, a):
         return -a
@@ -551,16 +621,27 @@ class FiniteSample:
     window: Window | None = None
     recipe: object | None = None
 
+    @cached_property
+    def ordered(self):
+        """The elements as a tuple in ``sort_key`` order, sorted once."""
+        return tuple(sorted(self.elements, key=self.group.sort_key))
+
+    @cached_property
+    def outer(self):
+        """The sample that stability checks compare against: the same set
+        regenerated in the enlarged window, resolved once per sample; the
+        sample itself when it has no window."""
+        return self.resample(self.window.enlarged()) if self.window else self
+
     def sorted_elements(self):
-        return sorted(self.elements, key=self.group.sort_key)
+        return list(self.ordered)
 
     def interior(self, margin):
         """Sorted elements whose word-radius ``margin`` ball fits the
         window; all of them when there is no window."""
-        els = self.sorted_elements()
         if self.window is None:
-            return els
-        return [y for y in els if self.window.is_interior(y, margin)]
+            return list(self.ordered)
+        return [y for y in self.ordered if self.window.is_interior(y, margin)]
 
     def __len__(self):
         return len(self.elements)
@@ -569,7 +650,7 @@ class FiniteSample:
         return el in self.elements
 
     def __iter__(self):
-        return iter(self.sorted_elements())
+        return iter(self.ordered)
 
     def resample(self, window):
         """The same set recomputed for another window (via recipe)."""

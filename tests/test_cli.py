@@ -209,6 +209,23 @@ def test_oversized_ball_or_window_exits_2(capsys, argv):
     assert report["error"]["type"] == "BudgetExceededError"
 
 
+def test_cellular_and_prec_refuse_an_empty_interior(capsys, tmp_path):
+    # the large free:2 margin is 8 + 6, so no word of a window of extent
+    # 10 is interior; nor is any point of a z window 10 at margin 3 + 27
+    code, report = invoke_json(capsys, "cellular", "--group", "free:2",
+                               "--kind", "window", "--window", "10",
+                               "--radius", "wordball:2", "--budget", "large")
+    assert code == 2
+    assert report["error"]["message"] == "interior empty at the requested margin"
+    mapfile = tmp_path / "map.json"
+    mapfile.write_text(json.dumps({"window": 10,
+                                   "pairs": {"0": "5", "1": "100"}}))
+    code, report = invoke_json(capsys, "prec", "--map", str(mapfile),
+                               "--radius=-1,1", "--budget", "small")
+    assert code == 2
+    assert report["error"]["message"] == "interior empty at the requested margin"
+
+
 @pytest.mark.parametrize("group", ["z", "z^2", "z2sum:4", "free:2"])
 def test_negative_window_rejected(capsys, group):
     code, report = invoke_json(capsys, "gen", "--group", group, "--kind",

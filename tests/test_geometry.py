@@ -1,15 +1,16 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coarsesets.budgets import preset
-from coarsesets.geometry import (Radius, ball, cellularity_probe,
+from coarsesets.geometry import (Radius, ball, ball_sizes, cellularity_probe,
                                  chain_component, chain_partition,
                                  prec_mapping_check, restricted_ball,
                                  word_radius)
-from coarsesets.groups import (FiniteSample, FreeGroup, GroupError, IntGroup,
-                               Window, enumerate_window)
+from coarsesets.groups import (FiniteSample, FreeGroup, Group, GroupError,
+                               IntGroup, LatticeGroup, Window, XorGroup,
+                               enumerate_window)
 
 import oracles
 
@@ -43,6 +44,57 @@ def test_ball_law(g, f):
     b = ball(Z, g, Radius(Z, f))
     assert g in b
     assert len(b) <= len(f) + 1
+
+
+# name -> (group, universe to draw Y, the centers and F from).  F may be
+# empty or larger than Y, so both sides of the smaller-side translate run;
+# free:2 is the family that tells Y.y^-1 from y^-1.Y.
+_LATTICE, _XOR, _FREE = LatticeGroup(2), XorGroup(5), FreeGroup(2)
+BALL_FAMILIES = {
+    "z": (Z, list(range(-30, 31))),
+    "z^2": (_LATTICE, sorted(Window(_LATTICE, 3).elements())),
+    "z2sum": (_XOR, list(range(64))),
+    "free": (_FREE, sorted(_FREE.word_ball(3), key=_FREE.sort_key)),
+}
+# On z, integer intervals take the bisection kernel; other sets fall back.
+Z_INTERVALS = st.builds(lambda lo, n: frozenset(range(lo, lo + n)),
+                        st.integers(-20, 20), st.integers(0, 25))
+
+
+@pytest.mark.parametrize("family", sorted(BALL_FAMILIES))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_ball_sizes_match_restricted_balls(family, data):
+    group, universe = BALL_FAMILIES[family]
+    elements = st.sampled_from(universe)
+    Y = data.draw(st.frozensets(elements, max_size=12))
+    steps = st.frozensets(elements, max_size=40)
+    if group == Z:
+        steps = st.one_of(Z_INTERVALS, steps)
+    radius = Radius(group, data.draw(steps))
+    points = data.draw(st.lists(elements, max_size=8))
+    sample = FiniteSample(group, Y)
+    assert ball_sizes(sample, points, radius) == {
+        y: len(restricted_ball(sample, y, radius)) for y in points}
+
+
+def test_ball_sizes_rejects_a_radius_of_another_group():
+    with pytest.raises(GroupError):
+        ball_sizes(FiniteSample(Z, frozenset({0})), [0], word_radius(_FREE, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(elems=st.frozensets(st.integers(-60, 60), max_size=40),
+       steps=st.one_of(
+           st.builds(lambda r, zero: frozenset(range(-r, r + 1)) - zero,
+                     st.integers(0, 6), st.sampled_from([frozenset(), {0}])),
+           st.frozensets(st.integers(-6, 6), max_size=6)))
+def test_z_chain_partition_matches_bfs(elems, steps):
+    """The gap split on z gives the BFS partition, list order included."""
+    sample = FiniteSample(Z, elems)
+    radius = Radius(Z, steps)
+    K = radius.symmetrize().elements
+    assert chain_partition(sample, radius) == Group.chain_partition(Z, sample, K)
 
 
 def test_radius_symmetrize_and_thicken():
