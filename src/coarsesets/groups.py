@@ -21,8 +21,8 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
-from math import comb
+from itertools import chain, combinations, product, repeat
+from math import comb, gcd
 from operator import add
 
 WINDOW_CAP = 10**7
@@ -66,6 +66,16 @@ class Group:
 
     def sort_key(self, el):
         raise NotImplementedError
+
+    def norm(self, el):
+        """Word length over ``generators()``."""
+        raise NotImplementedError
+
+    def norm_sorted(self, elements):
+        """The symmetric set ``elements`` as a list in (norm, sort_key)
+        order.  Families override this with sorts that call no Python
+        function per element."""
+        return sorted(elements, key=lambda el: (self.norm(el), self.sort_key(el)))
 
     def validate(self, el):
         raise NotImplementedError
@@ -119,6 +129,59 @@ class Group:
         that skips the per-pair method call."""
         mul = self.mul
         return {mul(a, b) for a in lefts for b in rights}
+
+    def quotient_pool(self, elements, cap):
+        """The ``cap`` quotients y.x^-1 (x, y in ``elements``) with the
+        smallest (norm, sort_key), in that order; ``elements`` is a
+        sequence."""
+        pool = self._ball_quotients(elements, cap)
+        if pool is None:
+            pool = self.norm_sorted(
+                self.products(elements, [self.inv(x) for x in elements]))
+        return pool[:cap]
+
+    def word_balls_cover(self, elements):
+        """True when the word ball of radius r holds every quotient
+        y.x^-1 of ``elements`` of norm <= r."""
+        return True
+
+    def _ball_quotients(self, elements, cap):
+        """``quotient_pool`` from the word balls of radius 0, 1, 2, 4, ...
+        smaller than the sample: the quotients of norm <= r all lie in
+        the ball of radius r, so the quotients found shell by shell, each
+        shell in (norm, sort_key) order, are the first ones.  A probe
+        tests g.x in the sample for x along a stride of about 0.618 n
+        through ``elements``, so that neighbours in sort_key order, which
+        fail together, are not tried in a row.  None when the balls reach
+        the sample's size first, after len(elements) // 4 absent g (each
+        costs a pass over the sample), or when the balls miss quotients."""
+        n = len(elements)
+        if not self.word_balls_cover(elements):
+            return None
+        members = frozenset(elements)
+        stride = max(n * 5 // 8, 1)
+        while gcd(stride, n) > 1:
+            stride += 1
+        probe = [elements[i * stride % n] for i in range(n)]
+        mul = self.mul
+        kept = []
+        absent = 0
+        inner = frozenset()
+        r = 0
+        while self.word_ball_size(r) < n:
+            ball = self.word_ball(r)
+            for g in self.norm_sorted(ball - inner):
+                if members.isdisjoint(map(mul, repeat(g), probe)):
+                    absent += 1
+                    if absent > n // 4:
+                        return None
+                else:
+                    kept.append(g)
+                    if len(kept) == cap:
+                        return kept
+            inner = ball
+            r = max(2 * r, 1)
+        return None
 
     def ball_sizes(self, sample, points, steps):
         """{y: |Y n steps.y|} for every y in ``points``, Y the sample's
@@ -225,6 +288,17 @@ class IntGroup(Group):
     def sort_key(self, el):
         return el
 
+    def norm(self, el):
+        return abs(el)
+
+    def norm_sorted(self, elements):
+        # a symmetric set: the negatives, read downward from 0, mirror the
+        # positives, so (|v|, v) order interleaves them without new ints
+        ordered = sorted(elements)
+        zero, first = bisect_left(ordered, 0), bisect_right(ordered, 0)
+        pairs = zip(ordered[:zero][::-1], ordered[first:])
+        return ordered[zero:first] + [*chain.from_iterable(pairs)]
+
     def validate(self, el):
         if not isinstance(el, int):
             raise GroupError(f"Z element must be int, got {type(el).__name__}")
@@ -283,6 +357,15 @@ class LatticeGroup(Group):
 
     def sort_key(self, el):
         return el
+
+    def norm(self, el):
+        return sum(map(abs, el))
+
+    def norm_sorted(self, elements):
+        # L1 norms computed by builtins only, then (norm, tuple) pairs
+        elements = list(elements)
+        norms = map(sum, map(map, repeat(abs), elements))
+        return [el for _, el in sorted(zip(norms, elements))]
 
     def validate(self, el):
         if not (isinstance(el, tuple) and len(el) == self.d
@@ -371,6 +454,19 @@ class XorGroup(Group):
     def sort_key(self, el):
         return el
 
+    @staticmethod
+    def norm(el):
+        return el.bit_count()
+
+    def norm_sorted(self, elements):
+        ordered = sorted(elements)
+        ordered.sort(key=int.bit_count)         # stable: masks stay sorted
+        return ordered
+
+    def word_balls_cover(self, elements):
+        # the balls hold masks on the m declared coordinates only
+        return max(elements, default=0) >> self.m == 0
+
     def validate(self, el):
         if not isinstance(el, int) or el < 0:
             raise GroupError(f"bad z2sum element: {el!r}")
@@ -415,10 +511,6 @@ class XorGroup(Group):
             if v not in out:
                 out.append(v)
         return tuple(out)
-
-    @staticmethod
-    def support(el):
-        return el.bit_count()
 
 
 _LETTERS = string.ascii_lowercase
@@ -482,6 +574,14 @@ class FreeGroup(Group):
 
     def sort_key(self, el):
         return (len(el), el)
+
+    def norm(self, el):
+        return len(el)
+
+    def norm_sorted(self, elements):
+        ordered = sorted(elements)
+        ordered.sort(key=len)                   # stable: (len, word) order
+        return ordered
 
     def validate(self, el):
         if not isinstance(el, str):
@@ -632,6 +732,17 @@ class FiniteSample:
         regenerated in the enlarged window, resolved once per sample; the
         sample itself when it has no window."""
         return self.resample(self.window.enlarged()) if self.window else self
+
+    @cached_property
+    def _quotient_pools(self):
+        return {}
+
+    def quotient_pool(self, cap):
+        """``Group.quotient_pool`` of the sample, built once per cap."""
+        pools = self._quotient_pools
+        if cap not in pools:
+            pools[cap] = self.group.quotient_pool(self.ordered, cap)
+        return pools[cap]
 
     def sorted_elements(self):
         return list(self.ordered)

@@ -182,12 +182,15 @@ class PwipWitness:
         }
 
 
-def _quotient_pool(group, elements, cap):
-    """Candidate generator pool: quotients y.x^-1 of sample elements,
-    deterministically truncated."""
-    pool = group.products(elements, [group.inv(x) for x in elements])
-    ordered = sorted(pool, key=group.sort_key)
-    return ordered[:cap]
+def _pool_partners(group, pool, cands):
+    """xj -> the t in ``cands`` with t.xj^-1 in the pool, in the order of
+    ``cands``: all of ``cands`` when the pool is no smaller, else the
+    translates pool.xj that lie in ``cands``, ordered by position."""
+    if len(pool) >= len(cands):
+        return lambda xj: cands
+    position = {x: i for i, x in enumerate(cands)}
+    return lambda xj: sorted(position.keys() & group.products(pool, (xj,)),
+                             key=position.__getitem__)
 
 
 def _chain_step(group, cands, g):
@@ -212,8 +215,8 @@ def detect_pwip(sample, depth, scale=None):
     if 2 ** depth - 1 > len(elems):
         return None              # not enough room for the distinct products
     scale = scale or budgets.preset("large")
-    ordered = sorted(elems, key=group.sort_key)
-    pool_list = _quotient_pool(group, ordered, scale.pool_cap)
+    ordered = sample.ordered
+    pool_list = sample.quotient_pool(scale.pool_cap)
     pool = frozenset(pool_list)
     mul = group.mul
 
@@ -246,13 +249,14 @@ def detect_pwip(sample, depth, scale=None):
             # 2^d - 1 <= |sample| leaves at least one element untaken
             return gens, [next(x for x in ordered if x not in taken)] + found
         prefix = _subset_products(group, gens)
+        partners = _pool_partners(group, pool_list, cands)
         for xj in cands:
             part1 = translate(prefix, xj, taken)
             if part1 is None:
                 continue
             taken1 = taken.union(part1)
             xj_inv = group.inv(xj)
-            for t in cands:
+            for t in partners(xj):
                 gj = mul(t, xj_inv)
                 if gj not in pool or gj in gens:
                     continue

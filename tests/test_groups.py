@@ -126,7 +126,7 @@ def test_xor_group_bits():
     assert g.parse("1010") == 0b0101
     assert g.render(0b0101) == "1010"
     assert g.render(0b10101) == "10101"      # wider than declared, still valid
-    assert XorGroup.support(0b1101) == 3
+    assert XorGroup.norm(0b1101) == 3
     assert g.generators() == (1, 2, 4, 8)
 
 

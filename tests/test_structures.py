@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from coarsesets.groups import (FiniteSample, FreeGroup, GroupError, IntGroup,
                                LatticeGroup, Window, XorGroup)
 from coarsesets.structures import (CANTOR_WINDOW_MARGIN, NestedChain,
-                                   PwipWitness, _chain_step, _quotient_pool,
-                                   _subset_products,
+                                   PwipWitness, _chain_step, _subset_products,
                                    cantor_extent, cantor_levels_for_window,
                                    cantor_offsets, detect_pwip,
                                    extract_pwip_from_chain,
@@ -74,7 +73,7 @@ def test_gen_wn_counts():
     with pytest.raises(GroupError):
         gen_wn(3, 4)
     sample = gen_wn(8, 2)
-    assert all(XorGroup.support(x) <= 2 for x in sample.elements)
+    assert all(XorGroup.norm(x) <= 2 for x in sample.elements)
 
 
 def test_gen_wn_is_xor_word_ball():
@@ -83,7 +82,7 @@ def test_gen_wn_is_xor_word_ball():
             sample = gen_wn(m, n)
             assert sample.elements == XorGroup(m).word_ball(n)
             assert sample.elements == frozenset(
-                x for x in range(2 ** m) if XorGroup.support(x) <= n)
+                x for x in range(2 ** m) if XorGroup.norm(x) <= n)
             assert sample.window == Window(XorGroup(m), m)
 
 
@@ -135,9 +134,9 @@ def test_cantor_geodesic_block_sizes():
 def test_quotient_pool_matches_pairwise_quotients(group, extent, cap, truncated):
     elements = sorted(Window(group, extent).elements(), key=group.sort_key)
     full = sorted({group.div(y, x) for x in elements for y in elements},
-                  key=group.sort_key)
+                  key=lambda g: (group.norm(g), group.sort_key(g)))
     assert (len(full) > cap) == truncated
-    assert _quotient_pool(group, elements, cap) == full[:cap]
+    assert group.quotient_pool(elements, cap) == full[:cap]
 
 
 def test_detect_pwip_recovers_generated_set():
