@@ -244,76 +244,68 @@ def _add_set_args(p):
     p.add_argument("--window", type=int)
 
 
-def build_parser():
+_REQUIRED = {"required": True}
+_SET_FILE = ("--set", {"help": "SetSpec JSON file"})
+
+# name -> (handler, help, takes the recipe flags, further arguments), in
+# --help order
+COMMANDS = {
+    "gen": (cmd_gen, "materialize a set recipe", True, ()),
+    "ball": (cmd_ball, "ball of radius F around an element", False,
+             (("--group", {"default": "z"}), ("--center", _REQUIRED),
+              ("--radius", _REQUIRED))),
+    "chain": (cmd_chain, "chain component inside a sample", True,
+              (("--start", _REQUIRED), ("--radius", _REQUIRED))),
+    "cellular": (cmd_cellular, "cellularity probe", True,
+                 (("--radius", _REQUIRED),)),
+    "prec": (cmd_prec, "verify a supplied ball-contraction mapping", False,
+             (("--map", {"required": True, "help": "JSON mapping file"}),
+              ("--radius", _REQUIRED))),
+    "detect-pwip": (cmd_detect_pwip, "shifted-product witness search", True,
+                    (("--depth", {"type": int, "required": True}),)),
+    "classify": (cmd_classify, "combined classification report", True, ()),
+    "thin": (cmd_thin, "thin degree at a radius", True,
+             (("--radius", _REQUIRED),)),
+    "sparse": (cmd_sparse, "translate-intersection witness search", True,
+               (("--xset", {"help": "SetSpec file for the X pool"}),)),
+    "scattered": (cmd_scattered, "isolated-balls verdict", True,
+                  (("--ambient",
+                    {"help": "SetSpec file for an ambient universe"}),)),
+    "density": (cmd_density, "upper-density profile", False,
+                (_SET_FILE, ("--nmax", {"type": int, "default": 100000}),
+                 ("--step", {"type": int}))),
+    "density-pwip": (cmd_density_pwip, "density vs structure experiment",
+                     False, (_SET_FILE, ("--depth", {"type": int, "default": 3}),
+                             ("--window", {"type": int}))),
+}
+
+
+def build_parser(command=None):
+    """The argument parser; with a known ``command``, only that
+    subcommand is registered (help and error texts for other input need
+    every subcommand)."""
     parser = _Parser(
         prog="coarsesets",
         description="Finite-scale verdicts for thin, sparse and scattered subsets of groups")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+    names = [command] if command in COMMANDS else COMMANDS
+    for name in names:
+        fn, text, set_args, extra = COMMANDS[name]
+        p = sub.add_parser(name, help=text)
         p.set_defaults(fn=fn)
         p.add_argument("--out", help="also write the report to a file")
         p.add_argument("--budget", default="medium",
                        choices=("small", "medium", "large"))
-        return p
-
-    p = add("gen", cmd_gen, help="materialize a set recipe")
-    _add_set_args(p)
-
-    p = add("ball", cmd_ball, help="ball of radius F around an element")
-    p.add_argument("--group", default="z")
-    p.add_argument("--center", required=True)
-    p.add_argument("--radius", required=True)
-
-    p = add("chain", cmd_chain, help="chain component inside a sample")
-    _add_set_args(p)
-    p.add_argument("--start", required=True)
-    p.add_argument("--radius", required=True)
-
-    p = add("cellular", cmd_cellular, help="cellularity probe")
-    _add_set_args(p)
-    p.add_argument("--radius", required=True)
-
-    p = add("prec", cmd_prec, help="verify a supplied ball-contraction mapping")
-    p.add_argument("--map", required=True, help="JSON mapping file")
-    p.add_argument("--radius", required=True)
-
-    p = add("detect-pwip", cmd_detect_pwip, help="shifted-product witness search")
-    _add_set_args(p)
-    p.add_argument("--depth", type=int, required=True)
-
-    p = add("classify", cmd_classify, help="combined classification report")
-    _add_set_args(p)
-
-    p = add("thin", cmd_thin, help="thin degree at a radius")
-    _add_set_args(p)
-    p.add_argument("--radius", required=True)
-
-    p = add("sparse", cmd_sparse, help="translate-intersection witness search")
-    _add_set_args(p)
-    p.add_argument("--xset", help="SetSpec file for the X pool")
-
-    p = add("scattered", cmd_scattered, help="isolated-balls verdict")
-    _add_set_args(p)
-    p.add_argument("--ambient", help="SetSpec file for an ambient universe")
-
-    p = add("density", cmd_density, help="upper-density profile")
-    p.add_argument("--set", help="SetSpec JSON file")
-    p.add_argument("--nmax", type=int, default=100000)
-    p.add_argument("--step", type=int)
-
-    p = add("density-pwip", cmd_density_pwip, help="density vs structure experiment")
-    p.add_argument("--set", help="SetSpec JSON file")
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--window", type=int)
-
+        if set_args:
+            _add_set_args(p)
+        for flag, kw in extra:
+            p.add_argument(flag, **kw)
     return parser
 
 
 def run(argv):
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         return _emit(args.fn(args), args)
     except SystemExit as exc:   # --help
         return exc.code or 0

@@ -137,11 +137,14 @@ def cellularity_probe(sample, radius, scale):
             comp_of[el] = comp
     best_needed = 0
     offender = None
+    radii = {}                        # word radius r, built on first use
     for a in interior:
         comp = comp_of[a]
         needed = None
         for r in range(1, scale.kprime_max + 1):
-            if comp <= ball(group, a, word_radius(group, r)):
+            if r not in radii:
+                radii[r] = word_radius(group, r)
+            if comp <= ball(group, a, radii[r]):
                 needed = r
                 break
         if needed is None:
