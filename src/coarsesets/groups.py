@@ -73,9 +73,9 @@ class Group:
 
     def norm_sorted(self, elements):
         """The symmetric set ``elements`` as a list in (norm, sort_key)
-        order.  Families override this with sorts that call no Python
-        function per element."""
-        return sorted(elements, key=lambda el: (self.norm(el), self.sort_key(el)))
+        order, sorted without a Python call per element: it orders every
+        quotient of a sparse sample."""
+        raise NotImplementedError
 
     def validate(self, el):
         raise NotImplementedError
@@ -150,7 +150,7 @@ class Group:
         smaller than the sample: the quotients of norm <= r all lie in
         the ball of radius r, so the quotients found shell by shell, each
         shell in (norm, sort_key) order, are the first ones.  A probe
-        tests g.x in the sample for x along a stride of about 0.618 n
+        tests g.x in the sample for x along a stride of about 5n/8
         through ``elements``, so that neighbours in sort_key order, which
         fail together, are not tried in a row.  None when the balls reach
         the sample's size first, after len(elements) // 4 absent g (each

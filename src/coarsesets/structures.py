@@ -205,8 +205,8 @@ def detect_pwip(sample, depth, scale=None):
 
     The 2^d - 1 products are picked in the sample consistently with the
     product equations; generators are solved from them and must fall in
-    the quotient pool, capped at the scale's ``pool_cap`` (the large
-    preset's when no scale is given).
+    the quotient pool: the scale's ``pool_cap`` quotients of smallest
+    (norm, sort_key) (the large preset's cap when no scale is given).
     """
     if depth < 1:
         raise GroupError("depth must be >= 1")

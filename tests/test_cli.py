@@ -5,7 +5,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from coarsesets.cli import run
+from coarsesets.cli import COMMANDS, build_parser, run
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                            "schemas", "coarse-sets-1.schema.json")
@@ -352,6 +352,25 @@ def test_usage_errors_are_json(capsys, argv):
     jsonschema.validate(report, REPORT_SCHEMA)
     assert report["kind"] == "error"
     assert report["error"]["type"] == "CliError"
+
+
+def _subcommands(parser):
+    return list(parser._subparsers._group_actions[0].choices)
+
+
+def test_parser_registers_only_the_named_subcommand(capsys):
+    assert _subcommands(build_parser()) == list(COMMANDS)
+    assert _subcommands(build_parser("thin")) == ["thin"]
+    for other in (None, "bogus", "-h"):
+        assert _subcommands(build_parser(other)) == list(COMMANDS)
+    # an unknown command still gets the full parser and its choices
+    code, out, err = invoke(capsys, "bogus")
+    assert code == 2
+    message = json.loads(err)["error"]["message"]
+    assert all(repr(name) in message for name in COMMANDS)
+    code, out, err = invoke(capsys, "--help")
+    assert code == 0
+    assert all(name in out for name in COMMANDS)
 
 
 def test_help_exits_zero(capsys):

@@ -12,6 +12,8 @@ from coarsesets.groups import (FiniteSample, FreeGroup, Group, GroupError,
                                IntGroup, LatticeGroup, Window, XorGroup,
                                enumerate_window)
 
+from coarsesets.recipes import SetSpec
+
 import oracles
 
 Z = IntGroup()
@@ -217,3 +219,21 @@ def test_prec_composition():
     rep_c = prec_mapping_check(comp, domain, zradius(-1, 1), scale)
     assert rep_c.verdict == "PREC"
     assert int(rep_c.k_label.split(":")[1]) <= int(rep_g.k_label.split(":")[1])
+
+
+def test_cellularity_probe_builds_each_word_radius_once(monkeypatch):
+    import coarsesets.geometry as geometry
+    built = []
+    original = geometry.word_ball_elements
+
+    def counted(group, r):
+        built.append(r)
+        return original(group, r)
+
+    sample = SetSpec.make("z", "periodic", window_extent=2000, modulus=50,
+                          residues=["0"]).resolve()
+    radius = word_radius(Z, 2)
+    monkeypatch.setattr(geometry, "word_ball_elements", counted)
+    rep = cellularity_probe(sample, radius, preset("medium"))
+    assert rep.verdict == "CELLULAR_AT_SCALE" and rep.interior_size == 77
+    assert built == [1]

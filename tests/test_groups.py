@@ -1,10 +1,10 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coarsesets.budgets import preset
-from coarsesets.groups import (BudgetExceededError, FreeGroup, GroupError,
-                               IntGroup, LatticeGroup, Window, XorGroup,
-                               enumerate_window,
+from coarsesets.groups import (BudgetExceededError, FiniteSample, FreeGroup,
+                               GroupError, IntGroup, LatticeGroup, Window,
+                               XorGroup, enumerate_window,
                                group_from_spec, reduce_word,
                                word_ball_elements)
 from coarsesets.recipes import SetSpec
@@ -279,3 +279,105 @@ def test_ladder_for_each_family(spec):
 def test_default_window_extent(spec, extent):
     sample = SetSpec.make(spec, "explicit", elements=()).resolve()
     assert sample.window.extent == extent
+
+
+@pytest.mark.parametrize("group,extent", FAMILY_WINDOWS,
+                         ids=lambda v: getattr(v, "spec", str(v)))
+def test_norm_is_word_length(group, extent):
+    inner = set()
+    for r in range(extent + 1):
+        ball = word_ball_elements(group, r)
+        assert {group.norm(el) for el in ball - inner} <= {r}
+        inner = ball
+    assert IntGroup().norm(-7) == 7
+    assert LatticeGroup(3).norm((2, -3, 0)) == 5
+    assert XorGroup(4).norm(0b10110) == 3     # wider than declared
+    assert FreeGroup(2).norm("aBB") == 3
+
+
+def _norm_order(group, elements):
+    return sorted(elements, key=lambda g: (group.norm(g), group.sort_key(g)))
+
+
+def _words(max_size):
+    return st.text(alphabet="abAB", max_size=max_size).map(reduce_word)
+
+
+# name -> (group, element strategy).  Dense universes fill the small word
+# balls, so their pools come from the balls; sparse ones run out of
+# probes and take the full build; z2sum:3 masks with bits at 3 and above
+# lie outside every word ball and skip the balls.
+POOL_UNIVERSES = {
+    "z/dense": (IntGroup(), st.integers(-12, 12)),
+    "z/sparse": (IntGroup(), st.integers(-10**6, 10**6)),
+    "z^2/dense": (LatticeGroup(2), st.tuples(st.integers(-3, 3),
+                                             st.integers(-3, 3))),
+    "z^2/sparse": (LatticeGroup(2), st.tuples(st.integers(-1000, 1000),
+                                              st.integers(-1000, 1000))),
+    "z2sum/dense": (XorGroup(5), st.integers(0, 31)),
+    "z2sum/wide": (XorGroup(3), st.integers(0, 2**7 - 1)),
+    "free/dense": (FreeGroup(2), _words(3)),
+    "free/sparse": (FreeGroup(2), _words(10)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POOL_UNIVERSES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_quotient_pool_matches_brute_force(name, data):
+    group, elements = POOL_UNIVERSES[name]
+    sample = data.draw(st.lists(elements, min_size=1, max_size=40,
+                                unique=True))
+    cap = data.draw(st.integers(1, 3) | st.integers(4, 3000))
+    ordered = sorted(sample, key=group.sort_key)
+    quotients = {group.div(y, x) for x in ordered for y in ordered}
+    expected = _norm_order(group, quotients)
+    assert group.norm_sorted(quotients) == expected
+    assert group.quotient_pool(ordered, cap) == expected[:cap]
+
+
+@pytest.mark.parametrize("group,extent", FAMILY_WINDOWS,
+                         ids=lambda v: getattr(v, "spec", str(v)))
+def test_quotient_pool_of_one_element_is_the_identity(group, extent):
+    for el in list(Window(group, extent).elements())[:5]:
+        for cap in (1, 2, 3):
+            assert group.quotient_pool([el], cap) == [group.identity()]
+
+
+@pytest.mark.parametrize("group,extent", FAMILY_WINDOWS,
+                         ids=lambda v: getattr(v, "spec", str(v)))
+def test_quotient_pool_paths(group, extent):
+    window = sorted(Window(group, extent).elements(), key=group.sort_key)
+    quotients = {group.div(y, x) for x in window for y in window}
+    # a window fills its small word balls: the pool comes from them
+    pool = group._ball_quotients(window, 4)
+    assert pool == _norm_order(group, quotients)[:4]
+    # a window's quotients outnumber every ball smaller than the window
+    assert group._ball_quotients(window, len(quotients)) is None
+
+
+def test_quotient_pool_falls_back_on_sparse_sets_and_wide_masks():
+    z = IntGroup()
+    sparse = [3**k for k in range(12)]
+    assert z._ball_quotients(sparse, 4) is None
+    assert z.quotient_pool(sparse, 4) == [0, -2, 2, -6]
+    wide = XorGroup(2)
+    masks = [0, 1, 2, 3, 4]             # 4 = bit 2, outside z2sum:2's balls
+    assert wide._ball_quotients(masks, 3) is None
+    assert wide.quotient_pool(masks, 6) == [0, 1, 2, 4, 3, 5]
+
+
+def test_sample_builds_its_quotient_pool_once(monkeypatch):
+    calls = []
+    build = IntGroup.quotient_pool
+
+    def counted(self, elements, cap):
+        calls.append(cap)
+        return build(self, elements, cap)
+
+    monkeypatch.setattr(IntGroup, "quotient_pool", counted)
+    sample = FiniteSample(IntGroup(), frozenset(range(-20, 21)))
+    first = sample.quotient_pool(10)
+    assert sample.quotient_pool(10) is first
+    assert sample.quotient_pool(5) == first[:5]
+    assert calls == [10, 5]

@@ -1,5 +1,8 @@
+import contextlib
 import dataclasses
 import random
+import signal
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +16,11 @@ from coarsesets.structures import (CANTOR_WINDOW_MARGIN, NestedChain,
                                    extract_pwip_from_chain,
                                    gen_cantor_geodesic, gen_ip, gen_pwip,
                                    gen_wn)
+from coarsesets.budgets import preset
+from coarsesets.classifiers import classify
+from coarsesets.density import density_pwip_experiment
 from coarsesets.recipes import SetSpec
+from coarsesets import structures
 
 import oracles
 
@@ -358,3 +365,118 @@ def test_cantor_extent():
     for bad in (0, 13):
         with pytest.raises(GroupError):
             cantor_extent(bad)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail with TimeoutError instead of hanging past ``seconds``."""
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# Searches that timed out or missed a witness while the pool kept the most
+# negative quotients instead of the shortest ones.
+def test_small_pool_finds_the_ip_witness():
+    sample = SetSpec.make("z", "ip", generators=[
+        "537", "-3919", "79", "823", "15"]).resolve()
+    with time_limit(10):
+        witness = detect_pwip(sample, 3, preset("small"))
+    assert witness is not None and witness.validate(sample.elements)
+    assert oracles.pwip_exists(Z, sample.elements, 3)
+
+
+@pytest.mark.parametrize("spec", [
+    SetSpec.make("z", "window", window_extent=600),
+    SetSpec.make("z", "periodic", window_extent=550, modulus=3,
+                 residues=["0", "1"]),
+], ids=["window-600", "periodic-3-550"])
+def test_depth3_search_past_the_pool_cap(spec):
+    sample = spec.resolve()
+    with time_limit(10):
+        witness = detect_pwip(sample, 3, preset("medium"))
+    assert witness is not None and witness.validate(sample.elements)
+
+
+def test_classify_z_window_1000_finishes():
+    sample = SetSpec.make("z", "window", window_extent=1000).resolve()
+    with time_limit(10):
+        report = classify(sample, preset("medium"))
+    assert report["pwip"]["max_depth"] == "3"
+
+
+def test_pwip_search_draws_t_from_the_pool():
+    # cands outnumber the pool, so t runs over the pool's translates
+    sample = FiniteSample(Z, frozenset(range(-40, 41)))
+    scale = dataclasses.replace(preset("small"), pool_cap=5)
+    assert sample.quotient_pool(5) == [0, -1, 1, -2, 2]
+    witness = detect_pwip(sample, 3, scale)
+    assert witness.gens == (1, 2, 0)
+    assert witness.validate(sample.elements)
+
+
+@pytest.mark.parametrize("family", sorted(CHAIN_UNIVERSES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pool_driven_t_loop_matches_the_full_scan(family, data):
+    group, universe = CHAIN_UNIVERSES[family]
+    elems = frozenset(data.draw(st.lists(st.sampled_from(universe),
+                                         min_size=3, max_size=15,
+                                         unique=True)))
+    scale = dataclasses.replace(preset("small"),
+                                pool_cap=data.draw(st.integers(1, 12)))
+    depth = data.draw(st.integers(2, 3))
+    got = detect_pwip(FiniteSample(group, elems), depth, scale)
+    with mock.patch.object(structures, "_pool_partners",
+                           lambda group, pool, cands: lambda xj: cands):
+        full = detect_pwip(FiniteSample(group, elems), depth, scale)
+    assert got == full
+
+
+@pytest.mark.parametrize("family", sorted(CHAIN_UNIVERSES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pool_partners_match_the_filtered_scan(family, data):
+    group, universe = CHAIN_UNIVERSES[family]
+    cands = sorted(data.draw(st.lists(st.sampled_from(universe), min_size=1,
+                                      max_size=15, unique=True)),
+                   key=group.sort_key)
+    pool = data.draw(st.lists(st.sampled_from(universe), min_size=1,
+                              max_size=len(cands), unique=True))
+    partners = structures._pool_partners(group, pool, cands)
+    for xj in cands:
+        # the search skips t with t.xj^-1 outside the pool either way
+        assert [t for t in partners(xj) if group.div(t, xj) in pool] == \
+            [t for t in cands if group.div(t, xj) in pool]
+
+
+def _count_pool_builds(monkeypatch):
+    calls = []
+    build = IntGroup.quotient_pool
+
+    def counted(self, elements, cap):
+        calls.append(cap)
+        return build(self, elements, cap)
+
+    monkeypatch.setattr(IntGroup, "quotient_pool", counted)
+    return calls
+
+
+def test_classify_and_density_build_one_pool_per_sample(monkeypatch):
+    calls = _count_pool_builds(monkeypatch)
+    sample = SetSpec.make("z", "window", window_extent=100).resolve()
+    assert classify(sample, preset("medium"))["pwip"]["max_depth"] == "3"
+    assert calls == [512]
+    calls.clear()
+    recipe = SetSpec.make("z", "powers", base=2)
+    report = density_pwip_experiment(recipe, 3, window_extent=600,
+                                     scale=preset("small"))
+    assert report["achieved_depth"] == "2"
+    assert calls == [64]
