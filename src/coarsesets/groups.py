@@ -73,9 +73,14 @@ class Group:
 
     def norm_sorted(self, elements):
         """The symmetric set ``elements`` as a list in (norm, sort_key)
-        order, sorted without a Python call per element: it orders every
-        quotient of a sparse sample."""
-        raise NotImplementedError
+        order.  It orders every quotient of a sparse sample, so it should
+        make no Python call per element.  This default sorts by the
+        elements' own order, then stably by ``norm``: right when the own
+        order is sort_key order within each norm, and fast when ``norm``
+        is a builtin."""
+        ordered = sorted(elements)
+        ordered.sort(key=self.norm)
+        return ordered
 
     def validate(self, el):
         raise NotImplementedError
@@ -288,12 +293,12 @@ class IntGroup(Group):
     def sort_key(self, el):
         return el
 
-    def norm(self, el):
-        return abs(el)
+    norm = staticmethod(abs)
 
     def norm_sorted(self, elements):
-        # a symmetric set: the negatives, read downward from 0, mirror the
-        # positives, so (|v|, v) order interleaves them without new ints
+        # an abs key would allocate an int per element.  In a symmetric
+        # set the negatives, read downward from 0, mirror the positives,
+        # so (|v|, v) order interleaves the two
         ordered = sorted(elements)
         zero, first = bisect_left(ordered, 0), bisect_right(ordered, 0)
         pairs = zip(ordered[:zero][::-1], ordered[first:])
@@ -454,14 +459,7 @@ class XorGroup(Group):
     def sort_key(self, el):
         return el
 
-    @staticmethod
-    def norm(el):
-        return el.bit_count()
-
-    def norm_sorted(self, elements):
-        ordered = sorted(elements)
-        ordered.sort(key=int.bit_count)         # stable: masks stay sorted
-        return ordered
+    norm = staticmethod(int.bit_count)
 
     def word_balls_cover(self, elements):
         # the balls hold masks on the m declared coordinates only
@@ -575,13 +573,7 @@ class FreeGroup(Group):
     def sort_key(self, el):
         return (len(el), el)
 
-    def norm(self, el):
-        return len(el)
-
-    def norm_sorted(self, elements):
-        ordered = sorted(elements)
-        ordered.sort(key=len)                   # stable: (len, word) order
-        return ordered
+    norm = staticmethod(len)
 
     def validate(self, el):
         if not isinstance(el, str):
