@@ -21,7 +21,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, product, repeat
+from itertools import chain, combinations, islice, product, repeat
 from math import comb, gcd
 from operator import add
 
@@ -301,7 +301,8 @@ class IntGroup(Group):
         # so (|v|, v) order interleaves the two
         ordered = sorted(elements)
         zero, first = bisect_left(ordered, 0), bisect_right(ordered, 0)
-        pairs = zip(ordered[:zero][::-1], ordered[first:])
+        negatives = islice(reversed(ordered), len(ordered) - zero, None)
+        pairs = zip(negatives, islice(ordered, first, None))
         return ordered[zero:first] + [*chain.from_iterable(pairs)]
 
     def validate(self, el):
