@@ -457,7 +457,7 @@ def test_pool_partners_match_the_filtered_scan(family, data):
             [t for t in cands if group.div(t, xj) in pool]
 
 
-def _count_pool_builds(monkeypatch):
+def test_classify_and_density_build_one_pool_per_sample(monkeypatch):
     calls = []
     build = IntGroup.quotient_pool
 
@@ -466,11 +466,6 @@ def _count_pool_builds(monkeypatch):
         return build(self, elements, cap)
 
     monkeypatch.setattr(IntGroup, "quotient_pool", counted)
-    return calls
-
-
-def test_classify_and_density_build_one_pool_per_sample(monkeypatch):
-    calls = _count_pool_builds(monkeypatch)
     sample = SetSpec.make("z", "window", window_extent=100).resolve()
     assert classify(sample, preset("medium"))["pwip"]["max_depth"] == "3"
     assert calls == [512]
