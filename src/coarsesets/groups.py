@@ -71,16 +71,16 @@ class Group:
         """Word length over ``generators()``."""
         raise NotImplementedError
 
-    def norm_sorted(self, elements):
-        """The symmetric set ``elements`` as a list in (norm, sort_key)
-        order.  It orders every quotient of a sparse sample, so it should
-        make no Python call per element.  This default sorts by the
-        elements' own order, then stably by ``norm``: right when the own
-        order is sort_key order within each norm, and fast when ``norm``
-        is a builtin."""
+    def norm_sorted(self, elements, cap=None):
+        """The first ``cap`` (all when None) elements of the symmetric set
+        ``elements`` in (norm, sort_key) order, as a list.  It orders
+        every quotient of a sparse sample, so it should make no Python
+        call per element.  This default sorts by the elements' own order,
+        then stably by ``norm``: right when the own order is sort_key
+        order within each norm, and fast when ``norm`` is a builtin."""
         ordered = sorted(elements)
         ordered.sort(key=self.norm)
-        return ordered
+        return ordered[:cap]
 
     def validate(self, el):
         raise NotImplementedError
@@ -142,8 +142,8 @@ class Group:
         pool = self._ball_quotients(elements, cap)
         if pool is None:
             pool = self.norm_sorted(
-                self.products(elements, [self.inv(x) for x in elements]))
-        return pool[:cap]
+                self.products(elements, [self.inv(x) for x in elements]), cap)
+        return pool
 
     def word_balls_cover(self, elements):
         """True when the word ball of radius r holds every quotient
@@ -156,10 +156,12 @@ class Group:
         the ball of radius r, so the quotients found shell by shell, each
         shell in (norm, sort_key) order, are the first ones.  A probe
         tests g.x in the sample for x along a stride of about 5n/8
-        through ``elements``, so that neighbours in sort_key order, which
-        fail together, are not tried in a row.  None when the balls reach
-        the sample's size first, after len(elements) // 4 absent g (each
-        costs a pass over the sample), or when the balls miss quotients."""
+        through ``elements``: on an interval of z, g.x leaves the sample
+        for the |g| elements x nearest one end, so a probe in sorted
+        order would try all of them before its first hit, for half the g.
+        None when the balls reach the sample's size first, after
+        len(elements) // 4 absent g (each costs a pass over the sample),
+        or when the balls miss quotients."""
         n = len(elements)
         if not self.word_balls_cover(elements):
             return None
@@ -295,7 +297,7 @@ class IntGroup(Group):
 
     norm = staticmethod(abs)
 
-    def norm_sorted(self, elements):
+    def norm_sorted(self, elements, cap=None):
         # an abs key would allocate an int per element.  In a symmetric
         # set the negatives, read downward from 0, mirror the positives,
         # so (|v|, v) order interleaves the two
@@ -303,7 +305,8 @@ class IntGroup(Group):
         zero, first = bisect_left(ordered, 0), bisect_right(ordered, 0)
         negatives = islice(reversed(ordered), len(ordered) - zero, None)
         pairs = zip(negatives, islice(ordered, first, None))
-        return ordered[zero:first] + [*chain.from_iterable(pairs)]
+        return [*islice(chain(ordered[zero:first],
+                              chain.from_iterable(pairs)), cap)]
 
     def validate(self, el):
         if not isinstance(el, int):
@@ -367,11 +370,11 @@ class LatticeGroup(Group):
     def norm(self, el):
         return sum(map(abs, el))
 
-    def norm_sorted(self, elements):
+    def norm_sorted(self, elements, cap=None):
         # L1 norms computed by builtins only, then (norm, tuple) pairs
         elements = list(elements)
         norms = map(sum, map(map, repeat(abs), elements))
-        return [el for _, el in sorted(zip(norms, elements))]
+        return [el for _, el in islice(sorted(zip(norms, elements)), cap)]
 
     def validate(self, el):
         if not (isinstance(el, tuple) and len(el) == self.d

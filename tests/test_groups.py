@@ -333,6 +333,7 @@ def test_quotient_pool_matches_brute_force(name, data):
     quotients = {group.div(y, x) for x in ordered for y in ordered}
     expected = _norm_order(group, quotients)
     assert group.norm_sorted(quotients) == expected
+    assert group.norm_sorted(quotients, cap) == expected[:cap]
     assert group.quotient_pool(ordered, cap) == expected[:cap]
 
 
