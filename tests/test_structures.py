@@ -393,23 +393,31 @@ def test_small_pool_finds_the_ip_witness():
     assert oracles.pwip_exists(Z, sample.elements, 3)
 
 
-@pytest.mark.parametrize("spec", [
-    SetSpec.make("z", "window", window_extent=600),
-    SetSpec.make("z", "periodic", window_extent=550, modulus=3,
-                 residues=["0", "1"]),
-], ids=["window-600", "periodic-3-550"])
-def test_depth3_search_past_the_pool_cap(spec):
+CANTOR_20000 = SetSpec.make("z", "cantor", window_extent=20000, levels="auto")
+
+
+@pytest.mark.parametrize("spec, budget, depth", [
+    (SetSpec.make("z", "window", window_extent=600), "medium", 3),
+    (SetSpec.make("z", "periodic", window_extent=550, modulus=3,
+                  residues=["0", "1"]), "medium", 3),
+    (CANTOR_20000, "large", 4),
+], ids=["window-600", "periodic-3-550", "cantor-20000"])
+def test_deep_search_past_the_pool_cap(spec, budget, depth):
     sample = spec.resolve()
     with time_limit(10):
-        witness = detect_pwip(sample, 3, preset("medium"))
+        witness = detect_pwip(sample, depth, preset(budget))
     assert witness is not None and witness.validate(sample.elements)
 
 
-def test_classify_z_window_1000_finishes():
-    sample = SetSpec.make("z", "window", window_extent=1000).resolve()
+@pytest.mark.parametrize("spec, budget, depth", [
+    (SetSpec.make("z", "window", window_extent=1000), "medium", "3"),
+    (CANTOR_20000, "large", "4"),
+], ids=["window-1000", "cantor-20000"])
+def test_classify_finishes(spec, budget, depth):
+    sample = spec.resolve()
     with time_limit(10):
-        report = classify(sample, preset("medium"))
-    assert report["pwip"]["max_depth"] == "3"
+        report = classify(sample, preset(budget))
+    assert report["pwip"]["max_depth"] == depth
 
 
 def test_pwip_search_draws_t_from_the_pool():
