@@ -3,10 +3,10 @@
 A Scale fixes everything a budgeted verdict depends on, so identical
 inputs always produce identical reports.  The F-family is the word
 balls of radius 0..f_max (radius 0 is the identity-only radius).  The
-H-candidates for a given F are F thickened by word balls of radius
-1, 3, 9, ... (a geometric ladder): sets whose companion structure lives
-on lacunary scales need enlargements well beyond F, and the ladder is
-cofinal at window scale while staying small.
+H-candidates for F = wordball(r) are wordball(t).F = wordball(r + t) for
+t = 1, 3, 9, ... (a geometric ladder): sets whose companion structure
+lives on lacunary scales need enlargements well beyond F, and the ladder
+is cofinal at window scale while staying small.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import geometry
+from .groups import word_ball_elements
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,10 @@ class Scale:
     def f_family(self, group):
         return [geometry.word_radius(group, r) for r in range(0, self.f_max + 1)]
 
-    def h_candidates(self, radius):
-        return [radius.thicken(t) for t in self.ladder_for(radius.group)]
+    def h_candidates(self, group, r):
+        return [geometry.Radius(group, word_ball_elements(group, r + t),
+                                f"wordball:{r}+wordball:{t}")
+                for t in self.ladder_for(group)]
 
 
 _PRESETS = {

@@ -178,18 +178,18 @@ def isolated_balls_verdict(sample, scale, ambient=None):
     if not interior:
         raise GroupError("interior empty at the requested margin")
     refutations = []
-    for F in scale.f_family(group):
+    for r, F in enumerate(scale.f_family(group)):
         f_sizes = ball_sizes(universe, interior, F)
         counts = []
         refuting_h = None
         last_isolated = ()
-        for H in scale.h_candidates(F):
-            # Every H is wordball(t).(F u {e}), which contains F u {e}, so
-            # B_Y(y,F) <= B_Y(y,H), and B_Y(y,H) <= B_Y(y,F) holds exactly
-            # when the two sizes agree.
+        for H in scale.h_candidates(group, r):
+            # Every H is wordball(r + t), which contains F = wordball(r),
+            # so B_Y(y,F) <= B_Y(y,H), and B_Y(y,H) <= B_Y(y,F) holds
+            # exactly when the two sizes agree.
             h_sizes = ball_sizes(universe, interior, H)
             isolated = [y for y in interior if h_sizes[y] == f_sizes[y]]
-            counts.append((H.label or "enlargement", len(isolated)))
+            counts.append((H.label, len(isolated)))
             last_isolated = tuple(isolated)
             if not isolated:
                 refuting_h = H
@@ -199,7 +199,7 @@ def isolated_balls_verdict(sample, scale, ambient=None):
                 "HAS_ISOLATED_BALLS", F.describe(), tuple(counts), last_isolated,
                 (), len(interior), scale.name,
                 "SAMPLE" if ambient is None else "AMBIENT")
-        refutations.append((F.describe(), refuting_h.label or "enlargement"))
+        refutations.append((F.describe(), refuting_h.label))
     return IsolatedBallsReport(
         "NO_ISOLATED_BALLS_AT_SCALE", None, (), (), tuple(refutations),
         len(interior), scale.name, "SAMPLE" if ambient is None else "AMBIENT")

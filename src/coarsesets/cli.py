@@ -57,7 +57,8 @@ def _parse_radius(group, text):
     return Radius(group, frozenset(group.parse(p) for p in parts))
 
 
-def _load_sample(args):
+def _recipe(args):
+    """(recipe, group, window) of ``--set`` or the recipe flags."""
     if args.set:
         spec = spec_from_file(args.set)
     elif args.kind:
@@ -65,10 +66,22 @@ def _load_sample(args):
     else:
         raise CliError("need --set FILE or --kind with --group")
     group = spec.group()
-    window = None
-    if args.window is not None:
-        window = group.window(args.window)
+    if args.window is None:
+        return spec, group, spec.default_window(group)
+    return spec, group, group.window(args.window)
+
+
+def _load_sample(args):
+    spec, group, window = _recipe(args)
     return spec.resolve(group, window)
+
+
+def _refuse_empty_interior(window, scale, message):
+    """Raise ``message`` before any sample is built when no element of the
+    window is interior at the scale's margin (none is unless e is)."""
+    group = window.group
+    if not window.is_interior(group.identity(), scale.margin_for(group)):
+        raise GroupError(message)
 
 
 def _spec_from_args(args):
@@ -149,10 +162,11 @@ def cmd_chain(args):
 
 
 def cmd_cellular(args):
-    sample = _load_sample(args)
-    group = sample.group
+    spec, group, window = _recipe(args)
     radius = _parse_radius(group, args.radius)
-    rep = cellularity_probe(sample, radius, budgets.preset(args.budget))
+    scale = budgets.preset(args.budget)
+    _refuse_empty_interior(window, scale, "interior empty at the requested margin")
+    rep = cellularity_probe(spec.resolve(group, window), radius, scale)
     return {"group": group.spec, **rep.to_json_dict(group)}
 
 
@@ -193,10 +207,11 @@ def cmd_classify(args):
 
 
 def cmd_thin(args):
-    sample = _load_sample(args)
-    group = sample.group
+    spec, group, window = _recipe(args)
     radius = _parse_radius(group, args.radius)
-    rep = classifiers.thin_degree(sample, radius, budgets.preset(args.budget))
+    scale = budgets.preset(args.budget)
+    _refuse_empty_interior(window, scale, "window too small for the interior margin")
+    rep = classifiers.thin_degree(spec.resolve(group, window), radius, scale)
     return {"group": group.spec, **rep.to_json_dict(group)}
 
 
@@ -209,11 +224,12 @@ def cmd_sparse(args):
 
 
 def cmd_scattered(args):
-    sample = _load_sample(args)
-    group = sample.group
+    spec, group, window = _recipe(args)
+    scale = budgets.preset(args.budget)
+    _refuse_empty_interior(window, scale, "interior empty at the requested margin")
+    sample = spec.resolve(group, window)
     ambient = _side_sample(args.ambient, sample) if args.ambient else None
-    rep = classifiers.isolated_balls_verdict(
-        sample, budgets.preset(args.budget), ambient=ambient)
+    rep = classifiers.isolated_balls_verdict(sample, scale, ambient=ambient)
     return {"group": group.spec, **rep.to_json_dict(group)}
 
 

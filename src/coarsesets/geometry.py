@@ -2,14 +2,16 @@
 
 Balls here follow the left-translation convention: the ball of radius F
 (a finite subset of the group) around g is F.g together with g itself.
-Chain components, cellularity probing and mapping checks are all built
-from that single primitive; verdicts that only compare ball sizes count
-them in bulk through ``ball_sizes``, without building a ball.
+Chain components and mapping checks are built from that single
+primitive; verdicts that only compare ball sizes count them in bulk
+through ``ball_sizes``, and ``reach`` reads the least word ball holding
+a set off word lengths, both without building a ball.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from .groups import GroupError, word_ball_elements
 
@@ -37,15 +39,6 @@ class Radius:
         elems = frozenset(self.elements) | frozenset(g.inv(el) for el in self.elements)
         label = f"sym({self.label})" if self.label else None
         return Radius(g, elems, label)
-
-    def thicken(self, r):
-        """F enlarged to wordball(r).(F u {e}); contains F and wordball(r)."""
-        g = self.group
-        wb = word_ball_elements(g, r)
-        base = set(self.elements) | {g.identity()}
-        out = g.products(wb, base)
-        label = f"{self.label or 'set'}+wordball:{r}"
-        return Radius(g, frozenset(out), label)
 
     def sorted_elements(self):
         return sorted(self.elements, key=self.group.sort_key)
@@ -81,6 +74,15 @@ def ball_sizes(universe, points, radius):
         raise GroupError("radius belongs to a different group")
     steps = radius.elements | {group.identity()}
     return group.ball_sizes(universe, points, steps)
+
+
+def reach(group, points, center):
+    """The least r with every point in wordball(r).center: the largest
+    norm of p.center^-1, or infinity when one lies in no word ball."""
+    quotients = group.products(points, (group.inv(center),))
+    if not group.word_balls_cover(quotients):
+        return inf
+    return max(map(group.norm, quotients))
 
 
 def chain_component(sample, a, radius):
@@ -135,28 +137,16 @@ def cellularity_probe(sample, radius, scale):
     for comp in comps:
         for el in comp:
             comp_of[el] = comp
-    best_needed = 0
-    offender = None
-    radii = {}                        # word radius r, built on first use
+    needed = 1
     for a in interior:
-        comp = comp_of[a]
-        needed = None
-        for r in range(1, scale.kprime_max + 1):
-            if r not in radii:
-                radii[r] = word_radius(group, r)
-            if comp <= ball(group, a, radii[r]):
-                needed = r
-                break
-        if needed is None:
-            offender = a
-            break
-        best_needed = max(best_needed, needed)
-    if offender is not None:
-        return CellularityReport(radius.describe(), "NOT_CELLULAR_AT_SCALE", None,
-                                 offender, len(interior), scale.kprime_max, sym)
-    kprime = f"wordball:{max(best_needed, 1)}"
-    return CellularityReport(radius.describe(), "CELLULAR_AT_SCALE", kprime,
-                             None, len(interior), scale.kprime_max, sym)
+        r = reach(group, comp_of[a], a)
+        if r > scale.kprime_max:
+            return CellularityReport(radius.describe(), "NOT_CELLULAR_AT_SCALE",
+                                     None, a, len(interior), scale.kprime_max, sym)
+        needed = max(needed, r)
+    return CellularityReport(radius.describe(), "CELLULAR_AT_SCALE",
+                             f"wordball:{needed}", None, len(interior),
+                             scale.kprime_max, sym)
 
 
 @dataclass(frozen=True)
@@ -193,18 +183,13 @@ def prec_mapping_check(mapping, domain, radius, scale, codomain=None):
                 if x in X]
     if not interior:
         raise GroupError("interior empty at the requested margin")
-
-    def offender(K):
-        """The first interior x with f(B_X(x,F)) outside B(f(x),K)."""
-        for x in interior:
-            target = ball(cod, mapping[x], K)
-            if any(mapping[x2] not in target for x2 in ball(group, x, radius) & X):
-                return x
-        return None
-
-    for r in range(1, scale.kprime_max + 1):
-        witness = offender(word_radius(cod, r))
-        if witness is None:
-            return PrecReport(radius.describe(), "PREC", f"wordball:{r}",
-                              None, len(interior))
-    return PrecReport(radius.describe(), "NOT_PREC", None, witness, len(interior))
+    needed = 1
+    for x in interior:
+        images = [mapping[x2] for x2 in ball(group, x, radius) & X]
+        r = reach(cod, images, mapping[x])
+        if r > scale.kprime_max:
+            return PrecReport(radius.describe(), "NOT_PREC", None, x,
+                              len(interior))
+        needed = max(needed, r)
+    return PrecReport(radius.describe(), "PREC", f"wordball:{needed}",
+                      None, len(interior))

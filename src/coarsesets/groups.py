@@ -105,7 +105,9 @@ class Group:
         raise NotImplementedError
 
     def window_interior(self, extent, el, margin):
-        raise NotImplementedError
+        # on z and free:k the window of extent n is the word ball of radius
+        # n, which holds the margin ball around el iff |el| + margin <= n
+        return self.norm(el) <= extent - margin
 
     def window_contains(self, extent, el):
         # the word ball of radius 0 around el is {el}
@@ -146,8 +148,7 @@ class Group:
         return pool
 
     def word_balls_cover(self, elements):
-        """True when the word ball of radius r holds every quotient
-        y.x^-1 of ``elements`` of norm <= r."""
+        """True when each element lies in the word ball of its norm."""
         return True
 
     def _ball_quotients(self, elements, cap):
@@ -161,7 +162,7 @@ class Group:
         order would try all of them before its first hit, for half the g.
         None when the balls reach the sample's size first, after
         len(elements) // 4 absent g (each costs a pass over the sample),
-        or when the balls miss quotients."""
+        or when an element lies in no word ball (their union is a group)."""
         n = len(elements)
         if not self.word_balls_cover(elements):
             return None
@@ -252,8 +253,8 @@ class IntGroup(Group):
         return {a + b for a in lefts for b in rights}
 
     def ball_sizes(self, sample, points, steps):
-        # steps forming an interval [lo, hi] (every word ball and thickened
-        # word ball): count the sample in [y + lo, y + hi] by bisection
+        # steps forming an interval [lo, hi] (every word ball): count the
+        # sample in [y + lo, y + hi] by bisection
         if not steps or max(steps) - min(steps) + 1 != len(steps):
             return super().ball_sizes(sample, points, steps)
         lo, hi = min(steps), max(steps)
@@ -323,9 +324,6 @@ class IntGroup(Group):
 
     def window_elements(self, extent):
         return range(-extent, extent + 1)
-
-    def window_interior(self, extent, el, margin):
-        return abs(el) <= extent - margin
 
 
 @dataclass(frozen=True)
@@ -612,9 +610,6 @@ class FreeGroup(Group):
 
     def window_elements(self, extent):
         return self.word_ball(extent)
-
-    def window_interior(self, extent, el, margin):
-        return len(el) <= extent - margin
 
     def enlarged_extent(self, extent):
         return extent + 1

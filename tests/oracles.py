@@ -7,6 +7,8 @@ group operations themselves.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 
 class DisjointSet:
     def __init__(self, items):
@@ -136,3 +138,56 @@ def isolated_balls_direct(group, elements, interior, f_family, h_families):
         if f_ok:
             return "HAS_ISOLATED_BALLS"
     return "NO_ISOLATED_BALLS_AT_SCALE"
+
+
+@lru_cache(maxsize=None)
+def bfs_word_ball(group, r):
+    """Elements of word length <= r, built by breadth-first search over
+    ``group.generators()``."""
+    seen = {group.identity()}
+    frontier = [group.identity()]
+    for _ in range(r):
+        frontier = {group.mul(g, x) for x in frontier
+                    for g in group.generators()} - seen
+        seen |= frontier
+    return frozenset(seen)
+
+
+def least_word_ball_radius(group, points, center, r_max):
+    """The first r in 1..r_max whose built word ball W holds every point
+    in W.center, or None."""
+    for r in range(1, r_max + 1):
+        ball = bfs_word_ball(group, r)
+        if all(group.div(p, center) in ball for p in points):
+            return r
+    return None
+
+
+def cellularity_direct(group, elements, interior, radius_elements, r_max):
+    """(verdict, found radius, offender) of the cellularity probe: the
+    chain component of each interior point, in order, must lie in a word
+    ball of radius <= r_max around it."""
+    comp_of = {x: comp for comp in
+               union_find_components(group, elements, radius_elements)
+               for x in comp}
+    needed = 1
+    for a in interior:
+        r = least_word_ball_radius(group, comp_of[a], a, r_max)
+        if r is None:
+            return "NOT_CELLULAR_AT_SCALE", None, a
+        needed = max(needed, r)
+    return "CELLULAR_AT_SCALE", f"wordball:{needed}", None
+
+
+def prec_direct(group, mapping, interior, radius_elements, r_max):
+    """(verdict, found radius, witness) of the mapping check: the first
+    r in 1..r_max with f(B_X(x,F)) inside B(f(x), wordball(r)) for every
+    interior x; else the first x that fails at r_max."""
+    X = set(mapping)
+    for r in range(1, r_max + 1):
+        failing = [x for x in interior if least_word_ball_radius(
+            group, [mapping[x2] for x2 in brute_ball(group, x, radius_elements) & X],
+            mapping[x], r) is None]
+        if not failing:
+            return "PREC", f"wordball:{r}", None
+    return "NOT_PREC", None, failing[0]

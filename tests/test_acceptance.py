@@ -157,8 +157,8 @@ def test_07_cantor_geodesic_behavior():
     interior = [y for y in small.sorted_elements()
                 if small.window.is_interior(y, margin)]
     f_family = MEDIUM.f_family(Z)
-    h_families = [[h.elements for h in MEDIUM.h_candidates(F)]
-                  for F in f_family]
+    h_families = [[h.elements for h in MEDIUM.h_candidates(Z, r)]
+                  for r in range(len(f_family))]
     direct = oracles.isolated_balls_direct(
         Z, small.elements, interior,
         [F.elements for F in f_family], h_families)
@@ -181,8 +181,8 @@ def test_08_isolated_balls_oracle():
         interior = [y for y in sample.sorted_elements()
                     if sample.window.is_interior(y, margin)]
         f_family = MEDIUM.f_family(Z)
-        h_families = [[h.elements for h in MEDIUM.h_candidates(F)]
-                      for F in f_family]
+        h_families = [[h.elements for h in MEDIUM.h_candidates(Z, r)]
+                      for r in range(len(f_family))]
         direct = oracles.isolated_balls_direct(
             Z, elems, interior, [F.elements for F in f_family], h_families)
         assert rep.verdict == direct

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -10,7 +11,7 @@ from coarsesets.classifiers import (SparseReport, classify,
                                     thin_degree)
 from coarsesets.geometry import Radius, word_radius
 from coarsesets.groups import (FiniteSample, FreeGroup, GroupError, IntGroup,
-                               LatticeGroup, Window, XorGroup)
+                               LatticeGroup, Window, XorGroup, group_from_spec)
 from coarsesets.recipes import SetSpec
 from coarsesets.structures import gen_cantor_geodesic
 
@@ -31,10 +32,33 @@ def test_presets():
     with pytest.raises(ValueError):
         preset("huge")
     assert [r.label for r in SMALL.f_family(Z)][:2] == ["wordball:0", "wordball:1"]
-    h = SMALL.h_candidates(word_radius(Z, 1))
+    h = SMALL.h_candidates(Z, 1)
     assert len(h) == len(SMALL.ladder)
     for radius in h:
         assert word_radius(Z, 1).elements <= radius.elements
+
+
+@pytest.mark.parametrize("spec", ["z", "z^2", "z^3", "z2sum:4", "z2sum:6",
+                                  "free:1", "free:2"])
+@pytest.mark.parametrize("name", ["small", "medium", "large"])
+def test_h_candidates_are_the_thickened_word_balls(spec, name):
+    """wordball(r + t) is wordball(t).(wordball(r) u {e}), label included,
+    for every ladder radius t whose products stay under 10**5 pairs."""
+    group = group_from_spec(spec)
+    scale = preset(name)
+    checked = 0
+    for r in range(scale.f_max + 1):
+        base = group.word_ball(r) | {group.identity()}
+        fits = [t for t in scale.ladder_for(group)
+                if group.word_ball_size(t) * len(base) <= 10**5]
+        # every family's clamp_ladder leaves its own output unchanged
+        hs = replace(scale, ladder=tuple(fits)).h_candidates(group, r)
+        assert len(hs) == len(fits)
+        for t, H in zip(fits, hs):
+            assert H.elements == group.products(group.word_ball(t), base)
+            assert H.label == f"wordball:{r}+wordball:{t}"
+            checked += 1
+    assert checked >= scale.f_max + 1
 
 
 def test_thin_powers_of_four():
@@ -222,7 +246,8 @@ def _direct_isolated_oracle(sample, scale):
     interior = [y for y in sample.sorted_elements()
                 if window is None or window.is_interior(y, margin)]
     f_family = scale.f_family(group)
-    h_families = [[h.elements for h in scale.h_candidates(F)] for F in f_family]
+    h_families = [[h.elements for h in scale.h_candidates(group, r)]
+                  for r in range(len(f_family))]
     return oracles.isolated_balls_direct(
         group, sample.elements, interior,
         [F.elements for F in f_family], h_families)

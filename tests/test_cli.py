@@ -6,6 +6,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from coarsesets.cli import COMMANDS, build_parser, run
+from coarsesets.recipes import SetSpec
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                            "schemas", "coarse-sets-1.schema.json")
@@ -224,6 +225,31 @@ def test_cellular_and_prec_refuse_an_empty_interior(capsys, tmp_path):
                                "--radius=-1,1", "--budget", "small")
     assert code == 2
     assert report["error"]["message"] == "interior empty at the requested margin"
+
+
+@pytest.mark.parametrize("command, message", [
+    ("cellular", "interior empty at the requested margin"),
+    ("scattered", "interior empty at the requested margin"),
+    ("thin", "window too small for the interior margin"),
+])
+def test_empty_interior_is_refused_before_the_sample_is_built(
+        capsys, monkeypatch, command, message):
+    # no word of a free:2 window of extent 10 is interior at the large
+    # margin 8 + 6; the window holds 118,097 words
+    calls = []
+    resolve = SetSpec.resolve
+
+    def counted(spec, *rest):
+        calls.append(rest)
+        return resolve(spec, *rest)
+
+    monkeypatch.setattr(SetSpec, "resolve", counted)
+    radius = ("--radius", "wordball:2") if command != "scattered" else ()
+    code, report = invoke_json(capsys, command, "--group", "free:2",
+                               "--kind", "window", "--window", "10",
+                               "--budget", "large", *radius)
+    assert code == 2 and calls == []
+    assert report["error"] == {"type": "GroupError", "message": message}
 
 
 @pytest.mark.parametrize("group", ["z", "z^2", "z2sum:4", "free:2"])

@@ -99,15 +99,12 @@ def test_z_chain_partition_matches_bfs(elems, steps):
     assert chain_partition(sample, radius) == Group.chain_partition(Z, sample, K)
 
 
-def test_radius_symmetrize_and_thicken():
+def test_radius_symmetrize():
     r = zradius(1, 2)
     assert not r.is_symmetric()
     s = r.symmetrize()
     assert s.elements == frozenset({-2, -1, 1, 2})
     assert s.is_symmetric()
-    t = zradius(5).thicken(2)
-    assert t.elements == frozenset(range(-2, 3)) | frozenset(range(3, 8))
-    assert word_radius(Z, 2).elements <= t.elements
 
 
 def test_chain_component_examples():
@@ -181,6 +178,62 @@ def test_cellularity_singleton():
     assert rep.verdict == "CELLULAR_AT_SCALE"
 
 
+def test_cellularity_wide_z2sum_mask_is_not_cellular():
+    # 35 = 3 ^ 32 differs from 3 in bit 5, outside the 4 declared
+    # coordinates, so no word ball of z2sum:4 holds the component {3, 35}
+    xor4 = XorGroup(4)
+    sample = FiniteSample(xor4, frozenset({3, 35}), Window(xor4, 6))
+    rep = cellularity_probe(sample, Radius(xor4, frozenset({32})), preset("small"))
+    assert rep.verdict == "NOT_CELLULAR_AT_SCALE"
+    assert rep.kprime_label is None and rep.offender == 3
+
+
+def test_cellularity_builds_no_word_ball_over_the_cap():
+    # wordball(8) of free:5 holds about 5.4e7 words, over WINDOW_CAP; the
+    # radius is read off word lengths, so the verdict needs no such ball
+    free5 = FreeGroup(5)
+    chain = frozenset("a" * n for n in range(9))
+    sample = FiniteSample(free5, chain, Window(free5, 16))
+    rep = cellularity_probe(sample, Radius(free5, frozenset({"a"})), preset("large"))
+    assert (rep.verdict, rep.kprime_label) == ("CELLULAR_AT_SCALE", "wordball:8")
+
+
+# name -> (group, elements near the identity that samples, radii and
+# images are drawn from).  The z2sum:4 universe holds masks up to 3 bits
+# wider than the declared coordinates, which lie in no word ball.
+REACH_FAMILIES = {
+    "z": (Z, list(range(-12, 13))),
+    "z^2": (_LATTICE, sorted(Window(_LATTICE, 4).elements())),
+    "z2sum": (XorGroup(4), list(range(2**7))),
+    "free": (_FREE, sorted(_FREE.word_ball(3), key=_FREE.sort_key)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(REACH_FAMILIES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cellularity_and_prec_match_the_word_ball_oracle(family, data):
+    group, universe = REACH_FAMILIES[family]
+    elements = st.sampled_from(universe)
+    scale = preset(data.draw(st.sampled_from(["small", "medium", "large"])))
+    margin = scale.margin_for(group)
+    elems = data.draw(st.frozensets(elements, max_size=20)) | {group.identity()}
+    sample = FiniteSample(group, elems,
+                          Window(group, margin + data.draw(st.integers(0, 4))))
+    steps = data.draw(st.frozensets(elements, max_size=3))
+    interior = sample.interior(margin)
+    rep = cellularity_probe(sample, Radius(group, steps), scale)
+    assert (rep.verdict, rep.kprime_label, rep.offender) == \
+        oracles.cellularity_direct(group, elems, interior, steps,
+                                   scale.kprime_max)
+    images = data.draw(st.lists(elements, min_size=len(elems),
+                                max_size=len(elems)))
+    mapping = dict(zip(sample.ordered, images))
+    rep = prec_mapping_check(mapping, sample, Radius(group, steps), scale)
+    assert (rep.verdict, rep.k_label, rep.witness) == \
+        oracles.prec_direct(group, mapping, interior, steps, scale.kprime_max)
+
+
 def test_prec_identity_and_doubling():
     window = Window(Z, 100)
     domain = enumerate_window(Z, window)
@@ -221,7 +274,7 @@ def test_prec_composition():
     assert int(rep_c.k_label.split(":")[1]) <= int(rep_g.k_label.split(":")[1])
 
 
-def test_cellularity_probe_builds_each_word_radius_once(monkeypatch):
+def test_cellularity_probe_builds_no_word_ball(monkeypatch):
     import coarsesets.geometry as geometry
     built = []
     original = geometry.word_ball_elements
@@ -236,4 +289,4 @@ def test_cellularity_probe_builds_each_word_radius_once(monkeypatch):
     monkeypatch.setattr(geometry, "word_ball_elements", counted)
     rep = cellularity_probe(sample, radius, preset("medium"))
     assert rep.verdict == "CELLULAR_AT_SCALE" and rep.interior_size == 77
-    assert built == [1]
+    assert built == []
