@@ -244,6 +244,12 @@ CASES.update({
         None),
 })
 
+# Extent 0 is a window like any other: z2sum windows are all interior,
+# so classify reads its thin degrees off the outer sample at extent 2.
+CASES["classify/z2sum/window0/small"] = (
+    ["classify", "--group", "z2sum:4", "--kind", "window", "--window", "0",
+     "--budget", "small"], None)
+
 # prec on the doubling map x -> 2x, written to the file "{set}" names.
 DOUBLING_MAP = {"domain_group": "z", "window": 120,
                 "pairs": {str(x): str(2 * x) for x in range(-120, 121)}}

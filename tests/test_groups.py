@@ -185,6 +185,15 @@ def test_enumerate_window_sample():
     assert 0 in sample
 
 
+def test_zero_extent_is_a_window():
+    z = IntGroup()
+    assert SetSpec.make("z", "window").resolve(z, z.window(0)).elements == {0}
+    xor = XorGroup(4)
+    sample = SetSpec.make("z2sum:4", "window").resolve(xor, xor.window(0))
+    assert sample.outer.window.extent == 2
+    assert len(sample.outer) == 4
+
+
 # One group per family with a small window extent.
 FAMILY_WINDOWS = [(IntGroup(), 7), (LatticeGroup(2), 3), (XorGroup(6), 4),
                   (FreeGroup(2), 3)]
