@@ -14,7 +14,7 @@ from .geometry import (CellularityReport, PrecReport, Radius, ball,
                        chain_partition, prec_mapping_check, restricted_ball,
                        word_radius)
 from .groups import (BudgetExceededError, FiniteSample, FreeGroup, Group,
-                     GroupError, IntGroup, LatticeGroup, Window, XorGroup,
+                     GroupError, IntGroup, LatticeGroup, XorGroup,
                      enumerate_window, group_from_spec, word_ball_elements)
 from .recipes import SetSpec, spec_from_file, spec_from_json
 from .structures import (NestedChain, PwipWitness, detect_pwip,
@@ -28,7 +28,7 @@ __all__ = [
     "FiniteSample", "FreeGroup", "Group", "GroupError", "IntGroup",
     "IsolatedBallsReport", "LatticeGroup", "NestedChain", "PrecReport",
     "PwipWitness", "Radius", "Scale", "SetSpec", "SparseReport",
-    "ThinReport", "Window", "XorGroup", "ball", "ball_sizes",
+    "ThinReport", "XorGroup", "ball", "ball_sizes",
     "cellularity_probe",
     "chain_component", "chain_partition", "classify",
     "density_pwip_experiment", "detect_pwip", "enumerate_window",

@@ -26,12 +26,8 @@ class Scale:
     kprime_max: int
     max_depth: int
 
-    def ladder_for(self, group):
-        """The ladder adapted to the group family (``Group.clamp_ladder``)."""
-        return group.clamp_ladder(self.ladder)
-
     def margin_for(self, group):
-        return self.f_max + self.ladder_for(group)[-1]
+        return self.f_max + group.clamp_ladder(self.ladder)[-1]
 
     def f_family(self, group):
         return [geometry.word_radius(group, r) for r in range(0, self.f_max + 1)]
@@ -39,7 +35,7 @@ class Scale:
     def h_candidates(self, group, r):
         return [geometry.Radius(group, word_ball_elements(group, r + t),
                                 f"wordball:{r}+wordball:{t}")
-                for t in self.ladder_for(group)]
+                for t in group.clamp_ladder(self.ladder)]
 
 
 _PRESETS = {

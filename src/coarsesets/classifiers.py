@@ -44,10 +44,11 @@ def thin_degree(sample, radius, scale):
         raise GroupError("thin degree needs a nonempty sample")
     group = sample.group
     margin = scale.margin_for(group)
-    if sample.window is not None and not sample.interior(margin):
+    interior = sample.interior(margin)
+    if sample.window is not None and not interior:
         raise GroupError("window too small for the interior margin")
     outer = sample.outer
-    inner_sizes = ball_sizes(sample, sample.interior(margin), radius)
+    inner_sizes = ball_sizes(sample, interior, radius)
     outer_sizes = ball_sizes(outer, outer.interior(margin), radius)
     cap = max(list(inner_sizes.values()) + list(outer_sizes.values()))
     # every ball holds its center, so cap >= 1, and at n = cap both
@@ -105,10 +106,9 @@ def sparse_witness(sample, xset, scale):
     quotient tuple; only the winning F builds its intersection.
     """
     group = sample.group
-    X = xset.elements
-    if not X:
+    if not xset.elements:
         raise GroupError("sparse witness needs a nonempty X")
-    pool = sorted(X, key=group.sort_key)[: max(scale.pool_cap // 16, 8)]
+    pool = xset.ordered[: max(scale.pool_cap // 16, 8)]
     samples = (sample.elements, sample.outer.elements)
     sizes = {(): tuple(map(len, samples))}   # quotients -> (inner, outer) size
     checked = 0
@@ -260,13 +260,7 @@ def classify(sample, scale):
     iso = isolated_balls_verdict(sample, scale)
     out["isolated_balls"] = iso.to_json_dict(group)
 
-    max_depth = 0
-    witness = None
-    for d in range(1, scale.max_depth + 1):
-        w = structures.detect_pwip(sample, d, scale=scale)
-        if w is None:
-            break
-        max_depth, witness = d, w
+    max_depth, witness = structures.deepest_pwip(sample, scale.max_depth, scale)
     out["pwip"] = {
         "max_depth": str(max_depth),
         "witness": witness.to_json_dict() if witness else None,

@@ -76,11 +76,11 @@ def _load_sample(args):
     return spec.resolve(group, window)
 
 
-def _refuse_empty_interior(window, scale, message):
+def _refuse_empty_interior(group, window, scale, message):
     """Raise ``message`` before any sample is built when no element of the
     window is interior at the scale's margin (none is unless e is)."""
-    group = window.group
-    if not window.is_interior(group.identity(), scale.margin_for(group)):
+    margin = scale.margin_for(group)
+    if not group.window_interior(window, group.identity(), margin):
         raise GroupError(message)
 
 
@@ -126,7 +126,7 @@ def cmd_gen(args):
         "kind": "sample",
         "group": group.spec,
         "size": str(len(sample)),
-        "elements": [group.render(x) for x in sample.sorted_elements()],
+        "elements": [group.render(x) for x in sample.ordered],
     }
 
 
@@ -165,7 +165,8 @@ def cmd_cellular(args):
     spec, group, window = _recipe(args)
     radius = _parse_radius(group, args.radius)
     scale = budgets.preset(args.budget)
-    _refuse_empty_interior(window, scale, "interior empty at the requested margin")
+    _refuse_empty_interior(group, window, scale,
+                           "interior empty at the requested margin")
     rep = cellularity_probe(spec.resolve(group, window), radius, scale)
     return {"group": group.spec, **rep.to_json_dict(group)}
 
@@ -210,7 +211,8 @@ def cmd_thin(args):
     spec, group, window = _recipe(args)
     radius = _parse_radius(group, args.radius)
     scale = budgets.preset(args.budget)
-    _refuse_empty_interior(window, scale, "window too small for the interior margin")
+    _refuse_empty_interior(group, window, scale,
+                           "window too small for the interior margin")
     rep = classifiers.thin_degree(spec.resolve(group, window), radius, scale)
     return {"group": group.spec, **rep.to_json_dict(group)}
 
@@ -226,7 +228,8 @@ def cmd_sparse(args):
 def cmd_scattered(args):
     spec, group, window = _recipe(args)
     scale = budgets.preset(args.budget)
-    _refuse_empty_interior(window, scale, "interior empty at the requested margin")
+    _refuse_empty_interior(group, window, scale,
+                           "interior empty at the requested margin")
     sample = spec.resolve(group, window)
     ambient = _side_sample(args.ambient, sample) if args.ambient else None
     rep = classifiers.isolated_balls_verdict(sample, scale, ambient=ambient)

@@ -12,7 +12,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from . import budgets, structures
-from .groups import FiniteSample, GroupError, IntGroup, Window
+from .groups import FiniteSample, GroupError, IntGroup
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ def _counter_for(recipe, n_max):
         q, residues = recipe.periodic()
         return lambda n: _periodic_count(q, residues, n)
     group = IntGroup()
-    sample = recipe.resolve(group, Window(group, n_max))
+    sample = recipe.resolve(group, n_max)
     arr = sorted(x for x in sample.elements if -n_max <= x <= n_max)
     return lambda n: bisect_right(arr, n) - bisect_left(arr, -n)
 
@@ -83,19 +83,14 @@ def density_pwip_experiment(recipe, depth, window_extent=None, scale=None):
         window_extent = 100
     scale = scale or budgets.preset("large")
     group = IntGroup()
-    window = Window(group, window_extent)
+    window = group.window(window_extent)
     sample = recipe.resolve(group, window)
     clipped = FiniteSample(
-        group, frozenset(x for x in sample.elements if window.contains(x)),
+        group, frozenset(x for x in sample.elements
+                         if group.window_contains(window, x)),
         window, recipe)
     profile = upper_density_profile(recipe, max(window_extent, 1000))
-    achieved = 0
-    witness = None
-    for d in range(depth, 0, -1):
-        w = structures.detect_pwip(clipped, d, scale=scale)
-        if w is not None:
-            achieved, witness = d, w
-            break
+    achieved, witness = structures.deepest_pwip(clipped, depth, scale)
     return {
         "kind": "density-pwip",
         "window": str(window_extent),

@@ -9,9 +9,10 @@ are inverses).
 Elements are plain payloads (int, tuple of ints, int bit mask, str);
 all operations live on the Group object, which is immutable.  Everything
 that differs between families (arithmetic, encodings, word balls, the
-finite windows a Window forwards to, budget ladders, the default window,
-the bulk ball-size and chain-partition kernels) is a method or attribute
-of the family's Group subclass, so a new family is one new subclass.
+finite windows, budget ladders, the default window, the bulk ball-size
+and chain-partition kernels) is a method or attribute of the family's
+Group subclass, so a new family is one new subclass.  A window is its
+integer extent, and the group answers every question about it.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ class Group:
     """Base class; subclasses implement the carrier operations and the
     family's window geometry."""
 
-    family = "?"
     default_extent = None        # window extent of recipes that name none
     radius_separator = ","       # between the elements of a radius literal
 
@@ -123,7 +123,15 @@ class Group:
         return ladder
 
     def window(self, extent):
-        return Window(self, int(extent))
+        """The window of ``extent``, which is the extent itself: the
+        family's finite truncation, symmetric and containing e.  It is
+        the interval radius on z, the box radius on z^d, the coordinate
+        count on z2sum (all masks on that many coordinates) and the
+        word length bound on free:k."""
+        extent = int(extent)
+        if extent < 0:
+            raise GroupError(f"window extent must be >= 0, got {extent}")
+        return extent
 
     def div(self, a, b):
         """a * b^-1."""
@@ -236,7 +244,6 @@ class Group:
 
 @dataclass(frozen=True)
 class IntGroup(Group):
-    family = "Z"
     default_extent = 512
 
     @property
@@ -329,7 +336,6 @@ class IntGroup(Group):
 @dataclass(frozen=True)
 class LatticeGroup(Group):
     d: int
-    family = "Z_POW_D"
     radius_separator = ";"       # lattice elements contain commas
     default_extent = 64
 
@@ -422,7 +428,6 @@ class XorGroup(Group):
     """
 
     m: int
-    family = "Z2SUM"
 
     def __post_init__(self):
         if self.m < 1:
@@ -530,7 +535,6 @@ def reduce_word(word):
 @dataclass(frozen=True)
 class FreeGroup(Group):
     rank: int
-    family = "FREE"
     default_extent = 8
 
     def __post_init__(self):
@@ -619,6 +623,9 @@ class FreeGroup(Group):
         return tuple(range(1, len(ladder) + 1))
 
 
+_FAMILIES = {"z^": LatticeGroup, "z2sum:": XorGroup, "free:": FreeGroup}
+
+
 def group_from_spec(spec):
     """Parse a group spec string: ``z``, ``z^2``, ``z2sum:16``, ``free:2``."""
     if not isinstance(spec, str):
@@ -626,57 +633,13 @@ def group_from_spec(spec):
     spec = spec.strip().lower()
     if spec == "z":
         return IntGroup()
-    if spec.startswith("z^"):
-        try:
-            return LatticeGroup(int(spec[2:]))
-        except ValueError:
-            raise GroupError(f"bad group spec: {spec!r}") from None
-    if spec.startswith("z2sum:"):
-        try:
-            return XorGroup(int(spec.split(":", 1)[1]))
-        except ValueError:
-            raise GroupError(f"bad group spec: {spec!r}") from None
-    if spec.startswith("free:"):
-        try:
-            return FreeGroup(int(spec.split(":", 1)[1]))
-        except ValueError:
-            raise GroupError(f"bad group spec: {spec!r}") from None
+    for prefix, family in _FAMILIES.items():
+        if spec.startswith(prefix):
+            try:
+                return family(int(spec[len(prefix):]))
+            except ValueError:
+                raise GroupError(f"bad group spec: {spec!r}") from None
     raise GroupError(f"unknown group spec: {spec!r}")
-
-
-@dataclass(frozen=True)
-class Window:
-    """Family-specific finite truncation, symmetric and containing e.
-
-    extent means: interval radius (Z), box radius (Z^d), coordinate
-    count (Z2SUM: carrier = all masks on that many coordinates), word
-    length bound (FREE).  The group defines each method.
-    """
-
-    group: Group
-    extent: int
-
-    def __post_init__(self):
-        if self.extent < 0:
-            raise GroupError(f"window extent must be >= 0, got {self.extent}")
-
-    def size(self):
-        return self.group.window_size(self.extent)
-
-    def contains(self, el):
-        return self.group.window_contains(self.extent, el)
-
-    def is_interior(self, el, margin):
-        """True when every ball of word radius ``margin`` around el fits."""
-        return self.group.window_interior(self.extent, el, margin)
-
-    def elements(self):
-        _check_cap(self.group.window_size, self.extent, "window of extent")
-        return self.group.window_elements(self.extent)
-
-    def enlarged(self):
-        """The outer window used by stability checks."""
-        return Window(self.group, self.group.enlarged_extent(self.extent))
 
 
 def _check_cap(size, n, what):
@@ -700,7 +663,8 @@ def word_ball_elements(group, r):
 
 @dataclass(frozen=True)
 class FiniteSample:
-    """A finite subset of a group plus the window and recipe behind it.
+    """A finite subset of a group plus the window extent and recipe
+    behind it.
 
     ``recipe`` is an optional object with a ``resolve(group, window)``
     method; when present, stability checks can regenerate the sample in
@@ -709,7 +673,7 @@ class FiniteSample:
 
     group: Group
     elements: frozenset
-    window: Window | None = None
+    window: int | None = None
     recipe: object | None = None
 
     @cached_property
@@ -722,7 +686,9 @@ class FiniteSample:
         """The sample that stability checks compare against: the same set
         regenerated in the enlarged window, resolved once per sample; the
         sample itself when it has no window."""
-        return self.resample(self.window.enlarged()) if self.window else self
+        if self.window is None:
+            return self
+        return self.resample(self.group.enlarged_extent(self.window))
 
     @cached_property
     def _quotient_pools(self):
@@ -735,15 +701,13 @@ class FiniteSample:
             pools[cap] = self.group.quotient_pool(self.ordered, cap)
         return pools[cap]
 
-    def sorted_elements(self):
-        return list(self.ordered)
-
     def interior(self, margin):
         """Sorted elements whose word-radius ``margin`` ball fits the
         window; all of them when there is no window."""
         if self.window is None:
             return list(self.ordered)
-        return [y for y in self.ordered if self.window.is_interior(y, margin)]
+        inside = self.group.window_interior
+        return [y for y in self.ordered if inside(self.window, y, margin)]
 
     def __len__(self):
         return len(self.elements)
@@ -761,6 +725,9 @@ class FiniteSample:
         return FiniteSample(self.group, self.elements, window, None)
 
 
-def enumerate_window(group, window):
-    """Every carrier element in the window, as a FiniteSample."""
-    return FiniteSample(group, frozenset(window.elements()), window)
+def enumerate_window(group, extent):
+    """Every carrier element in the window of ``extent``, as a
+    FiniteSample; over ``WINDOW_CAP`` elements it raises before building."""
+    _check_cap(group.window_size, extent, "window of extent")
+    return FiniteSample(group, frozenset(group.window_elements(extent)),
+                        extent)

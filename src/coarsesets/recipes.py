@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 
 from . import structures
-from .groups import (FiniteSample, GroupError, IntGroup, Window, XorGroup,
+from .groups import (FiniteSample, GroupError, IntGroup, XorGroup,
                      enumerate_window, group_from_spec)
 
 KINDS = ("explicit", "ip", "pwip", "wn", "cantor", "periodic", "powers", "window")
@@ -73,14 +73,15 @@ class SetSpec:
 
     def default_window(self, group):
         if self.window_extent is not None:
-            return Window(group, self.window_extent)
+            return group.window(self.window_extent)
         if self.kind == "cantor" and self.params.get("levels") != "auto":
-            return Window(group, structures.cantor_extent(self.integer("levels")))
-        return Window(group, group.default_extent)
+            return structures.cantor_extent(self.integer("levels"))
+        return group.default_extent
 
     def resolve(self, group=None, window=None):
         group = group or self.group()
-        window = window or self.default_window(group)
+        if window is None:
+            window = self.default_window(group)
         elems = self._elements(group, window)
         return FiniteSample(group, frozenset(elems), window, self)
 
@@ -94,8 +95,7 @@ class SetSpec:
             if not isinstance(group, IntGroup):
                 raise GroupError("periodic recipes require the group z")
             q, residues = self.periodic()
-            n = window.extent
-            return {x for x in range(-n, n + 1) if x % q in residues}
+            return {x for x in range(-window, window + 1) if x % q in residues}
         if kind == "powers":
             if not isinstance(group, IntGroup):
                 raise GroupError("powers recipes require the group z")
@@ -104,7 +104,7 @@ class SetSpec:
                 raise GroupError("base must be >= 2")
             out = set()
             v = 1
-            while v <= window.extent:
+            while v <= window:
                 out.add(v)
                 v *= b
             return out
@@ -117,7 +117,7 @@ class SetSpec:
                     raise GroupError("ip rule 'powers' requires the group z")
                 b = self.integer("base", 2)
                 gens, total, v = [], 0, 1
-                while total + v <= window.extent:
+                while total + v <= window:
                     gens.append(v)
                     total += v
                     v *= b
@@ -134,12 +134,12 @@ class SetSpec:
             if not isinstance(group, XorGroup):
                 raise GroupError("wn recipes require a z2sum group")
             n = self.integer("support")
-            return structures.gen_wn(window.extent, n).elements
+            return structures.gen_wn(window, n).elements
         if kind == "cantor":
             if not isinstance(group, IntGroup):
                 raise GroupError("cantor recipes require the group z")
             if self.params.get("levels") == "auto":
-                levels = structures.cantor_levels_for_window(window.extent)
+                levels = structures.cantor_levels_for_window(window)
             else:
                 levels = self.integer("levels")
             return structures.gen_cantor_geodesic(levels).elements

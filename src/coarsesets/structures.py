@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import budgets
-from .groups import (FiniteSample, GroupError, IntGroup, XorGroup, Window,
+from .groups import (FiniteSample, GroupError, IntGroup, XorGroup,
                      word_ball_elements)
 
 MAX_GENERATORS = 20
@@ -85,7 +85,7 @@ def gen_wn(m, n):
     if not 0 <= n <= m <= 24:
         raise GroupError("need 0 <= n <= m <= 24")
     group = XorGroup(m)
-    return FiniteSample(group, word_ball_elements(group, n), Window(group, m))
+    return FiniteSample(group, word_ball_elements(group, n), m)
 
 
 CANTOR_WINDOW_MARGIN = 128
@@ -134,7 +134,7 @@ def gen_cantor_geodesic(levels):
         for i in range(3 ** n + 1):
             if _no_one_digits(i):
                 out.add(o + i)
-    return FiniteSample(group, frozenset(out), Window(group, extent))
+    return FiniteSample(group, frozenset(out), extent)
 
 
 @dataclass(frozen=True)
@@ -285,6 +285,21 @@ def detect_pwip(sample, depth, scale=None):
     witness = PwipWitness(group, depth, tuple(gens), shifts, prods)
     assert witness.validate(elems)
     return witness
+
+
+def deepest_pwip(sample, max_depth, scale=None):
+    """(d, ``detect_pwip(sample, d)``) for the largest d <= max_depth
+    with a witness, or (0, None).  Success is monotone in depth: a
+    branch that reaches stage d passed stage d - 1, and the pool still
+    holds a spare last generator.  So the depths are tried upward, and
+    at most the last search runs to exhaustion."""
+    depth, witness = 0, None
+    for d in range(1, max_depth + 1):
+        found = detect_pwip(sample, d, scale=scale)
+        if found is None:
+            break
+        depth, witness = d, found
+    return depth, witness
 
 
 @dataclass(frozen=True)

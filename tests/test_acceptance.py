@@ -13,7 +13,7 @@ from coarsesets.classifiers import isolated_balls_verdict
 from coarsesets.density import density_pwip_experiment, upper_density_profile
 from coarsesets.geometry import Radius, ball, cellularity_probe, chain_partition, restricted_ball
 from coarsesets.groups import (FiniteSample, FreeGroup, IntGroup, LatticeGroup,
-                               Window, XorGroup, reduce_word)
+                               XorGroup, reduce_word)
 from coarsesets.recipes import SetSpec
 from coarsesets.structures import (NestedChain, detect_pwip,
                                    extract_pwip_from_chain,
@@ -30,11 +30,11 @@ def report(num, description):
 
 
 def random_element(group, rng):
-    if group.family == "Z":
+    if isinstance(group, IntGroup):
         return rng.randint(-10**9, 10**9)
-    if group.family == "Z_POW_D":
+    if isinstance(group, LatticeGroup):
         return tuple(rng.randint(-10**6, 10**6) for _ in range(group.d))
-    if group.family == "Z2SUM":
+    if isinstance(group, XorGroup):
         return rng.getrandbits(16)
     word = "".join(rng.choice("abAB") for _ in range(rng.randint(0, 8)))
     return reduce_word(word)
@@ -154,8 +154,8 @@ def test_07_cantor_geodesic_behavior():
     assert iso.verdict == "NO_ISOLATED_BALLS_AT_SCALE"
     small = gen_cantor_geodesic(4)
     margin = MEDIUM.margin_for(Z)
-    interior = [y for y in small.sorted_elements()
-                if small.window.is_interior(y, margin)]
+    interior = [y for y in small.ordered
+                if Z.window_interior(small.window, y, margin)]
     f_family = MEDIUM.f_family(Z)
     h_families = [[h.elements for h in MEDIUM.h_candidates(Z, r)]
                   for r in range(len(f_family))]
@@ -175,11 +175,11 @@ def test_08_isolated_balls_oracle():
         spread = rng.choice([60, 300, 1500])
         elems = frozenset(rng.sample(range(-spread, spread), min(n, 2 * spread)))
         extent = max(spread + 200, 256)
-        sample = FiniteSample(Z, elems, Window(Z, extent))
+        sample = FiniteSample(Z, elems, Z.window(extent))
         rep = isolated_balls_verdict(sample, MEDIUM)
         margin = MEDIUM.margin_for(Z)
-        interior = [y for y in sample.sorted_elements()
-                    if sample.window.is_interior(y, margin)]
+        interior = [y for y in sample.ordered
+                    if Z.window_interior(extent, y, margin)]
         f_family = MEDIUM.f_family(Z)
         h_families = [[h.elements for h in MEDIUM.h_candidates(Z, r)]
                       for r in range(len(f_family))]

@@ -11,7 +11,7 @@ from coarsesets.classifiers import (SparseReport, classify,
                                     thin_degree)
 from coarsesets.geometry import Radius, word_radius
 from coarsesets.groups import (FiniteSample, FreeGroup, GroupError, IntGroup,
-                               LatticeGroup, Window, XorGroup, group_from_spec)
+                               LatticeGroup, XorGroup, group_from_spec)
 from coarsesets.recipes import SetSpec
 from coarsesets.structures import gen_cantor_geodesic
 
@@ -49,7 +49,7 @@ def test_h_candidates_are_the_thickened_word_balls(spec, name):
     checked = 0
     for r in range(scale.f_max + 1):
         base = group.word_ball(r) | {group.identity()}
-        fits = [t for t in scale.ladder_for(group)
+        fits = [t for t in group.clamp_ladder(scale.ladder)
                 if group.word_ball_size(t) * len(base) <= 10**5]
         # every family's clamp_ladder leaves its own output unchanged
         hs = replace(scale, ladder=tuple(fits)).h_candidates(group, r)
@@ -80,7 +80,7 @@ class _PairedPowers:
     def resolve(self, group, window):
         out = set()
         v = 2
-        while v + 1 <= window.extent:
+        while v + 1 <= window:
             out.add(v)
             out.add(v + 1)
             v *= 2
@@ -88,7 +88,7 @@ class _PairedPowers:
 
 
 def test_thin_paired_powers():
-    sample = _PairedPowers().resolve(Z, Window(Z, 512))
+    sample = _PairedPowers().resolve(Z, 512)
     rep = thin_degree(sample, Radius(Z, frozenset({-1, 1})), MEDIUM)
     assert rep.degree == 2
     assert rep.exceptional == (3, 4)
@@ -139,7 +139,7 @@ def _sparse_reference(sample, xset, scale):
     """sparse_witness from the definition: every candidate F in order,
     with |n_{g in F} gA| taken from the translates of both samples."""
     group = sample.group
-    outer = sample.resample(sample.window.enlarged())
+    outer = sample.resample(group.enlarged_extent(sample.window))
     pool = sorted(xset.elements, key=group.sort_key)[: max(scale.pool_cap // 16, 8)]
     candidates = [F for size in (1, 2, 3) for F in combinations(pool, size)]
 
@@ -173,7 +173,7 @@ SPARSE_FAMILIES = {
         list(range(-120, 121))),
     "z^2": (st.builds(lambda n: SetSpec.make("z^2", "window", n),
                       st.integers(1, 2)),
-            sorted(Window(_LATTICE, 6).elements())),
+            sorted(_LATTICE.window_elements(6))),
     "z2sum": (st.one_of(
         st.builds(lambda n: SetSpec.make("z2sum:5", "wn", n, support=n // 2),
                   st.integers(2, 5)),
@@ -243,8 +243,8 @@ def _direct_isolated_oracle(sample, scale):
     group = sample.group
     margin = scale.margin_for(group)
     window = sample.window
-    interior = [y for y in sample.sorted_elements()
-                if window is None or window.is_interior(y, margin)]
+    interior = [y for y in sample.ordered
+                if window is None or group.window_interior(window, y, margin)]
     f_family = scale.f_family(group)
     h_families = [[h.elements for h in scale.h_candidates(group, r)]
                   for r in range(len(f_family))]
@@ -272,7 +272,7 @@ def test_isolated_balls_oracle_equivalence():
     checked = 0
     for elems in cases:
         extent = max(max(abs(x) for x in elems) + 200, 256)
-        sample = FiniteSample(Z, elems, Window(Z, extent))
+        sample = FiniteSample(Z, elems, extent)
         for scale in (SMALL, MEDIUM):
             rep = isolated_balls_verdict(sample, scale)
             assert rep.verdict == _direct_isolated_oracle(sample, scale), \
@@ -316,6 +316,6 @@ def test_classify_window():
 
 
 def test_classify_empty():
-    report = classify(FiniteSample(Z, frozenset(), Window(Z, 64)), SMALL)
+    report = classify(FiniteSample(Z, frozenset(), 64), SMALL)
     assert report["size"] == "0"
     assert report["consistent"] is True

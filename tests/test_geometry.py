@@ -9,7 +9,7 @@ from coarsesets.geometry import (Radius, ball, ball_sizes, cellularity_probe,
                                  prec_mapping_check, restricted_ball,
                                  word_radius)
 from coarsesets.groups import (FiniteSample, FreeGroup, Group, GroupError,
-                               IntGroup, LatticeGroup, Window, XorGroup,
+                               IntGroup, LatticeGroup, XorGroup,
                                enumerate_window)
 
 from coarsesets.recipes import SetSpec
@@ -36,7 +36,7 @@ def test_restricted_ball_examples():
     sample = FiniteSample(Z, powers)
     assert restricted_ball(sample, 1, zradius(-1, 1)) == {1, 2}
     assert restricted_ball(FiniteSample(Z, frozenset()), 1, zradius(-1, 1)) == frozenset()
-    win = enumerate_window(Z, Window(Z, 10))
+    win = enumerate_window(Z, 10)
     assert restricted_ball(win, 0, zradius(-1, 1)) == {-1, 0, 1}
 
 
@@ -54,7 +54,7 @@ def test_ball_law(g, f):
 _LATTICE, _XOR, _FREE = LatticeGroup(2), XorGroup(5), FreeGroup(2)
 BALL_FAMILIES = {
     "z": (Z, list(range(-30, 31))),
-    "z^2": (_LATTICE, sorted(Window(_LATTICE, 3).elements())),
+    "z^2": (_LATTICE, sorted(_LATTICE.window_elements(3))),
     "z2sum": (_XOR, list(range(64))),
     "free": (_FREE, sorted(_FREE.word_ball(3), key=_FREE.sort_key)),
 }
@@ -159,21 +159,21 @@ def test_chain_component_monotone_in_radius(data):
 
 def test_cellularity_powers_of_four():
     elems = frozenset(4**n for n in range(9))
-    sample = FiniteSample(Z, elems, Window(Z, 4**9))
+    sample = FiniteSample(Z, elems, 4**9)
     rep = cellularity_probe(sample, zradius(-1, 1), preset("small"))
     assert rep.verdict == "CELLULAR_AT_SCALE"
     assert rep.kprime_label == "wordball:1"
 
 
 def test_cellularity_window_fails():
-    sample = enumerate_window(Z, Window(Z, 64))
+    sample = enumerate_window(Z, 64)
     rep = cellularity_probe(sample, zradius(-1, 1), preset("small"))
     assert rep.verdict == "NOT_CELLULAR_AT_SCALE"
     assert rep.offender is not None
 
 
 def test_cellularity_singleton():
-    sample = FiniteSample(Z, frozenset({3}), Window(Z, 100))
+    sample = FiniteSample(Z, frozenset({3}), 100)
     rep = cellularity_probe(sample, zradius(-1, 1), preset("small"))
     assert rep.verdict == "CELLULAR_AT_SCALE"
 
@@ -182,7 +182,7 @@ def test_cellularity_wide_z2sum_mask_is_not_cellular():
     # 35 = 3 ^ 32 differs from 3 in bit 5, outside the 4 declared
     # coordinates, so no word ball of z2sum:4 holds the component {3, 35}
     xor4 = XorGroup(4)
-    sample = FiniteSample(xor4, frozenset({3, 35}), Window(xor4, 6))
+    sample = FiniteSample(xor4, frozenset({3, 35}), 6)
     rep = cellularity_probe(sample, Radius(xor4, frozenset({32})), preset("small"))
     assert rep.verdict == "NOT_CELLULAR_AT_SCALE"
     assert rep.kprime_label is None and rep.offender == 3
@@ -193,7 +193,7 @@ def test_cellularity_builds_no_word_ball_over_the_cap():
     # radius is read off word lengths, so the verdict needs no such ball
     free5 = FreeGroup(5)
     chain = frozenset("a" * n for n in range(9))
-    sample = FiniteSample(free5, chain, Window(free5, 16))
+    sample = FiniteSample(free5, chain, 16)
     rep = cellularity_probe(sample, Radius(free5, frozenset({"a"})), preset("large"))
     assert (rep.verdict, rep.kprime_label) == ("CELLULAR_AT_SCALE", "wordball:8")
 
@@ -203,7 +203,7 @@ def test_cellularity_builds_no_word_ball_over_the_cap():
 # wider than the declared coordinates, which lie in no word ball.
 REACH_FAMILIES = {
     "z": (Z, list(range(-12, 13))),
-    "z^2": (_LATTICE, sorted(Window(_LATTICE, 4).elements())),
+    "z^2": (_LATTICE, sorted(_LATTICE.window_elements(4))),
     "z2sum": (XorGroup(4), list(range(2**7))),
     "free": (_FREE, sorted(_FREE.word_ball(3), key=_FREE.sort_key)),
 }
@@ -218,8 +218,7 @@ def test_cellularity_and_prec_match_the_word_ball_oracle(family, data):
     scale = preset(data.draw(st.sampled_from(["small", "medium", "large"])))
     margin = scale.margin_for(group)
     elems = data.draw(st.frozensets(elements, max_size=20)) | {group.identity()}
-    sample = FiniteSample(group, elems,
-                          Window(group, margin + data.draw(st.integers(0, 4))))
+    sample = FiniteSample(group, elems, margin + data.draw(st.integers(0, 4)))
     steps = data.draw(st.frozensets(elements, max_size=3))
     interior = sample.interior(margin)
     rep = cellularity_probe(sample, Radius(group, steps), scale)
@@ -235,7 +234,7 @@ def test_cellularity_and_prec_match_the_word_ball_oracle(family, data):
 
 
 def test_prec_identity_and_doubling():
-    window = Window(Z, 100)
+    window = 100
     domain = enumerate_window(Z, window)
     ident = {x: x for x in domain.elements}
     scale = preset("small")
@@ -249,7 +248,7 @@ def test_prec_identity_and_doubling():
 
 
 def test_prec_square_fails():
-    window = Window(Z, 100)
+    window = 100
     domain = enumerate_window(Z, window)
     square = {x: x * x for x in domain.elements}
     rep = prec_mapping_check(square, domain, zradius(-1, 1), preset("medium"))
@@ -258,12 +257,12 @@ def test_prec_square_fails():
 
 
 def test_prec_composition():
-    window = Window(Z, 200)
+    window = 200
     domain = enumerate_window(Z, window)
     scale = preset("medium")
     f = {x: 2 * x for x in domain.elements}
     rep_f = prec_mapping_check(f, domain, zradius(-1, 1), scale)
-    image = FiniteSample(Z, frozenset(f.values()), Window(Z, 400))
+    image = FiniteSample(Z, frozenset(f.values()), 400)
     g = {y: 2 * y for y in image.elements}
     k_radius = word_radius(Z, int(rep_f.k_label.split(":")[1]))
     rep_g = prec_mapping_check(g, image, k_radius, scale)

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coarsesets.groups import (FiniteSample, FreeGroup, GroupError, IntGroup,
-                               LatticeGroup, Window, XorGroup)
+                               LatticeGroup, XorGroup)
 from coarsesets.structures import (CANTOR_WINDOW_MARGIN, NestedChain,
                                    PwipWitness, _chain_step, _subset_products,
                                    cantor_extent, cantor_levels_for_window,
-                                   cantor_offsets, detect_pwip,
+                                   cantor_offsets, deepest_pwip, detect_pwip,
                                    extract_pwip_from_chain,
                                    gen_cantor_geodesic, gen_ip, gen_pwip,
                                    gen_wn)
@@ -90,7 +90,7 @@ def test_gen_wn_is_xor_word_ball():
             assert sample.elements == XorGroup(m).word_ball(n)
             assert sample.elements == frozenset(
                 x for x in range(2 ** m) if XorGroup.norm(x) <= n)
-            assert sample.window == Window(XorGroup(m), m)
+            assert sample.window == m
 
 
 def test_cantor_offsets_separation():
@@ -139,7 +139,7 @@ def test_cantor_geodesic_block_sizes():
     (FreeGroup(2), 2, 4096, False),
 ], ids=lambda v: getattr(v, "spec", str(v)))
 def test_quotient_pool_matches_pairwise_quotients(group, extent, cap, truncated):
-    elements = sorted(Window(group, extent).elements(), key=group.sort_key)
+    elements = sorted(group.window_elements(extent), key=group.sort_key)
     full = sorted({group.div(y, x) for x in elements for y in elements},
                   key=lambda g: (group.norm(g), group.sort_key(g)))
     assert (len(full) > cap) == truncated
@@ -199,7 +199,7 @@ def _random_oracle_instances():
     cases.append((Z, frozenset(range(40))))
     cases.append((Z, frozenset(rng.sample(range(-10000, 10000), 40))))
     lattice = LatticeGroup(2)
-    box = sorted(Window(lattice, 4).elements())
+    box = sorted(lattice.window_elements(4))
     for _ in range(30):
         n = rng.randint(1, 16)
         cases.append((lattice, frozenset(rng.sample(box, n))))
@@ -230,7 +230,7 @@ def test_detect_pwip_oracle_equivalence():
 LATTICE, FREE = LatticeGroup(2), FreeGroup(2)
 CHAIN_UNIVERSES = {
     "z": (Z, list(range(-12, 13))),
-    "z^2": (LATTICE, sorted(Window(LATTICE, 2).elements())),
+    "z^2": (LATTICE, sorted(LATTICE.window_elements(2))),
     "z2sum": (XorGroup(5), list(range(32))),
     "free": (FREE, sorted(FREE.word_ball(2), key=FREE.sort_key)),
 }
@@ -274,6 +274,26 @@ def test_detect_pwip_chain_search_matches_oracle(family, data):
     assert (got is not None) == oracles.pwip_exists(group, elems, 3)
     for witness in (got, detect_pwip(sample, 4)):
         assert witness is None or witness.validate(elems)
+
+
+@pytest.mark.parametrize("family", sorted(CHAIN_UNIVERSES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_deepest_pwip_is_the_largest_depth_with_a_witness(family, data):
+    group, universe = CHAIN_UNIVERSES[family]
+    elems = frozenset(data.draw(st.lists(st.sampled_from(universe),
+                                         max_size=15, unique=True)))
+    sample = FiniteSample(group, elems)
+    # a pool of 2 leaves no spare last generator past depth 1
+    scale = dataclasses.replace(preset("small"),
+                                pool_cap=data.draw(st.sampled_from([2, 64])))
+    found = [detect_pwip(sample, d, scale=scale) for d in range(1, 5)]
+    depth = sum(w is not None for w in found)
+    # success is monotone in depth: the witnesses are the first ``depth``
+    assert None not in found[:depth]
+    assert deepest_pwip(sample, 4, scale) == \
+        (depth, found[depth - 1] if depth else None)
+    assert deepest_pwip(sample, 0, scale) == (0, None)
 
 
 def test_witness_validate_rejects_tampering():
@@ -360,8 +380,9 @@ def test_cantor_extent():
     for n in range(1, 8):
         top = max(gen_cantor_geodesic(n).elements)
         assert cantor_extent(n) == top + 1 + CANTOR_WINDOW_MARGIN
+        assert gen_cantor_geodesic(n).window == cantor_extent(n)
         spec = SetSpec.make("z", "cantor", levels=n)
-        assert spec.resolve().window.extent == cantor_extent(n)
+        assert spec.resolve().window == cantor_extent(n)
     for bad in (0, 13):
         with pytest.raises(GroupError):
             cantor_extent(bad)
