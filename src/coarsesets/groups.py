@@ -728,6 +728,7 @@ class FiniteSample:
 def enumerate_window(group, extent):
     """Every carrier element in the window of ``extent``, as a
     FiniteSample; over ``WINDOW_CAP`` elements it raises before building."""
+    extent = group.window(extent)
     _check_cap(group.window_size, extent, "window of extent")
     return FiniteSample(group, frozenset(group.window_elements(extent)),
                         extent)

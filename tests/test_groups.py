@@ -260,6 +260,8 @@ def test_negative_extents_rejected():
     for group, _ in FAMILY_WINDOWS:
         with pytest.raises(GroupError, match="got -1"):
             group.window(-1)
+        with pytest.raises(GroupError, match="got -1"):
+            enumerate_window(group, -1)
         with pytest.raises(GroupError):
             group.window(-3)
         with pytest.raises(GroupError):
