@@ -287,7 +287,7 @@ def detect_pwip(sample, depth, scale=None):
     return witness
 
 
-def deepest_pwip(sample, max_depth, scale=None):
+def deepest_pwip(sample, max_depth, scale):
     """(d, ``detect_pwip(sample, d)``) for the largest d <= max_depth
     with a witness, or (0, None).  Success is monotone in depth: a
     branch that reaches stage d passed stage d - 1, and the pool still
