@@ -211,9 +211,7 @@ def _largest_cluster(sample, scale):
     group = sample.group
     margin = scale.margin_for(group)
     comps = chain_partition(sample, word_radius(group, margin))
-    if not comps:
-        return sample
-    best = sorted(comps, key=lambda c: (-len(c), group.sort_key(min(c, key=group.sort_key))))[0]
+    best = min(comps, key=lambda c: (-len(c), group.sort_key(min(c, key=group.sort_key))))
     return FiniteSample(group, best, sample.window, None)
 
 

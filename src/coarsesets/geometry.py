@@ -40,12 +40,10 @@ class Radius:
         label = f"sym({self.label})" if self.label else None
         return Radius(g, elems, label)
 
-    def sorted_elements(self):
-        return sorted(self.elements, key=self.group.sort_key)
-
     def describe(self):
+        key = self.group.sort_key
         return self.label or "{" + ",".join(
-            self.group.render(e) for e in self.sorted_elements()) + "}"
+            self.group.render(e) for e in sorted(self.elements, key=key)) + "}"
 
 
 def word_radius(group, r):

@@ -39,8 +39,8 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class Group:
-    """Base class; subclasses implement the carrier operations and the
-    family's window geometry."""
+    """Base class holding the rules families share; subclasses implement
+    the carrier operations and state only how their geometry differs."""
 
     default_extent = None        # window extent of recipes that name none
     radius_separator = ","       # between the elements of a radius literal
@@ -65,7 +65,9 @@ class Group:
         raise NotImplementedError
 
     def sort_key(self, el):
-        raise NotImplementedError
+        """The total order of ``ordered`` and of every rendered list: the
+        element's own order, except on free:k."""
+        return el
 
     def norm(self, el):
         """Word length over ``generators()``."""
@@ -74,10 +76,11 @@ class Group:
     def norm_sorted(self, elements, cap=None):
         """The first ``cap`` (all when None) elements of the symmetric set
         ``elements`` in (norm, sort_key) order, as a list.  It orders
-        every quotient of a sparse sample, so it should make no Python
-        call per element.  This default sorts by the elements' own order,
-        then stably by ``norm``: right when the own order is sort_key
-        order within each norm, and fast when ``norm`` is a builtin."""
+        every quotient of a sparse sample.  This default sorts by the
+        elements' own order, then stably by ``norm``: right when the own
+        order is sort_key order within each norm, and fastest when
+        ``norm`` is a builtin; with the Python ``norm`` of z^d it still
+        beats sorting (norm, el) pairs."""
         ordered = sorted(elements)
         ordered.sort(key=self.norm)
         return ordered[:cap]
@@ -95,18 +98,19 @@ class Group:
 
     def word_ball_size(self, r):
         """len(word_ball(r)), without building it."""
-        # the window of extent r is the word ball on z and free:k
-        return self.window_size(r)
-
-    def window_size(self, extent):
         raise NotImplementedError
+
+    # by default (z and free:k) the window of extent n is the word ball of
+    # radius n
+    def window_size(self, extent):
+        return self.word_ball_size(extent)
 
     def window_elements(self, extent):
-        raise NotImplementedError
+        return self.word_ball(extent)
 
     def window_interior(self, extent, el, margin):
-        # on z and free:k the window of extent n is the word ball of radius
-        # n, which holds the margin ball around el iff |el| + margin <= n
+        # the word ball of radius n holds the margin ball around el iff
+        # |el| + margin <= n
         return self.norm(el) <= extent - margin
 
     def window_contains(self, extent, el):
@@ -300,9 +304,6 @@ class IntGroup(Group):
     def render(self, el):
         return str(el)
 
-    def sort_key(self, el):
-        return el
-
     norm = staticmethod(abs)
 
     def norm_sorted(self, elements, cap=None):
@@ -326,11 +327,8 @@ class IntGroup(Group):
     def word_ball(self, r):
         return frozenset(range(-r, r + 1))
 
-    def window_size(self, extent):
-        return 2 * extent + 1
-
-    def window_elements(self, extent):
-        return range(-extent, extent + 1)
+    def word_ball_size(self, r):
+        return 2 * r + 1
 
 
 @dataclass(frozen=True)
@@ -368,17 +366,8 @@ class LatticeGroup(Group):
     def render(self, el):
         return ",".join(str(x) for x in el)
 
-    def sort_key(self, el):
-        return el
-
     def norm(self, el):
         return sum(map(abs, el))
-
-    def norm_sorted(self, elements, cap=None):
-        # L1 norms computed by builtins only, then (norm, tuple) pairs
-        elements = list(elements)
-        norms = map(sum, map(map, repeat(abs), elements))
-        return [el for _, el in islice(sorted(zip(norms, elements)), cap)]
 
     def validate(self, el):
         if not (isinstance(el, tuple) and len(el) == self.d
@@ -414,7 +403,7 @@ class LatticeGroup(Group):
         return product(range(-extent, extent + 1), repeat=self.d)
 
     def window_interior(self, extent, el, margin):
-        return all(abs(x) <= extent - margin for x in el)
+        return max(map(abs, el)) <= extent - margin
 
 
 @dataclass(frozen=True)
@@ -462,9 +451,6 @@ class XorGroup(Group):
     def render(self, el):
         width = max(self.m, el.bit_length())
         return "".join("1" if el >> j & 1 else "0" for j in range(width))
-
-    def sort_key(self, el):
-        return el
 
     norm = staticmethod(int.bit_count)
 
@@ -545,9 +531,6 @@ class FreeGroup(Group):
     def spec(self):
         return f"free:{self.rank}"
 
-    def letters(self):
-        return _LETTERS[: self.rank]
-
     def identity(self):
         return ""
 
@@ -568,8 +551,7 @@ class FreeGroup(Group):
         text = text.strip()
         if text in ("", "e"):
             return ""
-        alphabet = set(self.letters()) | set(self.letters().upper())
-        if set(text) - alphabet:
+        if set(text) - set(self.generators()):
             raise GroupError(f"bad free word: {text!r}")
         return reduce_word(text)
 
@@ -586,16 +568,12 @@ class FreeGroup(Group):
             raise GroupError(f"free element must be str, got {type(el).__name__}")
         if el != reduce_word(el):
             raise GroupError(f"word not reduced: {el!r}")
-        alphabet = set(self.letters()) | set(self.letters().upper())
-        if set(el) - alphabet:
+        if set(el) - set(self.generators()):
             raise GroupError(f"letters outside rank-{self.rank} alphabet: {el!r}")
 
     def generators(self):
-        gens = []
-        for ch in self.letters():
-            gens.append(ch)
-            gens.append(ch.upper())
-        return tuple(gens)
+        return tuple(chain.from_iterable(
+            (ch, ch.upper()) for ch in _LETTERS[:self.rank]))
 
     def word_ball(self, r):
         out = {""}
@@ -607,13 +585,10 @@ class FreeGroup(Group):
             out.update(frontier)
         return frozenset(out)
 
-    def window_size(self, extent):
+    def word_ball_size(self, r):
         # the sphere of radius i holds 2k(2k-1)^(i-1) reduced words
         k2 = 2 * self.rank
-        return 1 + sum(k2 * (k2 - 1) ** (i - 1) for i in range(1, extent + 1))
-
-    def window_elements(self, extent):
-        return self.word_ball(extent)
+        return 1 + sum(k2 * (k2 - 1) ** (i - 1) for i in range(1, r + 1))
 
     def enlarged_extent(self, extent):
         return extent + 1
@@ -688,7 +663,10 @@ class FiniteSample:
         sample itself when it has no window."""
         if self.window is None:
             return self
-        return self.resample(self.group.enlarged_extent(self.window))
+        window = self.group.enlarged_extent(self.window)
+        if self.recipe is not None:
+            return self.recipe.resolve(self.group, window)
+        return FiniteSample(self.group, self.elements, window, None)
 
     @cached_property
     def _quotient_pools(self):
@@ -717,12 +695,6 @@ class FiniteSample:
 
     def __iter__(self):
         return iter(self.ordered)
-
-    def resample(self, window):
-        """The same set recomputed for another window (via recipe)."""
-        if self.recipe is not None:
-            return self.recipe.resolve(self.group, window)
-        return FiniteSample(self.group, self.elements, window, None)
 
 
 def enumerate_window(group, extent):

@@ -159,8 +159,6 @@ def spec_from_json(obj):
     data = dict(obj)
     group_spec = data.pop("group", "z")
     kind = data.pop("kind", None)
-    if kind not in KINDS:
-        raise GroupError(f"unknown set kind: {kind!r}")
     window = None
     if "window" in data:
         window = integer(data.pop("window"), "recipe 'window'")

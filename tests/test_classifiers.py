@@ -139,7 +139,7 @@ def _sparse_reference(sample, xset, scale):
     """sparse_witness from the definition: every candidate F in order,
     with |n_{g in F} gA| taken from the translates of both samples."""
     group = sample.group
-    outer = sample.resample(group.enlarged_extent(sample.window))
+    outer = sample.outer
     pool = sorted(xset.elements, key=group.sort_key)[: max(scale.pool_cap // 16, 8)]
     candidates = [F for size in (1, 2, 3) for F in combinations(pool, size)]
 

@@ -221,6 +221,23 @@ def test_window_protocol(group, extent):
             if group.window_contains(extent, el)} == set(elements)
 
 
+# z2sum is left out: its rule is that every mask of the window is interior
+@pytest.mark.parametrize("group", [IntGroup(), LatticeGroup(2),
+                                   LatticeGroup(3), FreeGroup(1),
+                                   FreeGroup(2)], ids=lambda g: g.spec)
+def test_window_interior_is_its_definition(group):
+    # el is interior at a margin exactly when the window holds every
+    # point of the margin word ball around it.  The window is its element
+    # set, not window_contains, which is window_interior at margin 0.
+    for extent in range(5):
+        window = set(group.window_elements(extent))
+        for margin in range(extent + 1):
+            ball = group.word_ball(margin)
+            for el in window:
+                fits = {group.mul(f, el) for f in ball} <= window
+                assert group.window_interior(extent, el, margin) == fits
+
+
 @pytest.mark.parametrize("group,extent", FAMILY_WINDOWS,
                          ids=lambda v: getattr(v, "spec", str(v)))
 def test_word_ball_is_generator_bfs(group, extent):
