@@ -58,7 +58,7 @@ def thin_degree(sample, radius, scale):
         exc_out = {y for y, s in outer_sizes.items() if s > n}
         if exc_in == exc_out:
             return ThinReport(radius.describe(), n,
-                              tuple(sorted(exc_in, key=group.sort_key)),
+                              tuple(group.sorted(exc_in)),
                               len(inner_sizes), True)
 
 
@@ -118,7 +118,7 @@ def sparse_witness(sample, xset, scale):
                 break
             checked += 1
             head = group.inv(F[0])
-            key = tuple(group.mul(head, g) for g in F[1:])
+            key = tuple(group.translates(head, F[1:]))
             if key not in sizes:
                 sizes[key] = tuple(
                     len(_translate_intersection(group, key, els) & els)
@@ -128,7 +128,7 @@ def sparse_witness(sample, xset, scale):
                 continue
             inner_i = _translate_intersection(group, F, sample.elements)
             return SparseReport("WITNESS_FOUND", F,
-                                tuple(sorted(inner_i, key=group.sort_key)),
+                                tuple(group.sorted(inner_i)),
                                 len(inner_i), checked)
         if checked >= scale.pool_cap:
             break

@@ -140,8 +140,7 @@ def cmd_ball(args):
         "group": group.spec,
         "center": group.render(center),
         "radius": radius.describe(),
-        "elements": [group.render(x) for x in
-                     sorted(elems, key=group.sort_key)],
+        "elements": [group.render(x) for x in group.sorted(elems)],
     }
 
 
@@ -157,7 +156,7 @@ def cmd_chain(args):
         "start": group.render(start),
         "radius": radius.describe(),
         "size": str(len(comp)),
-        "elements": [group.render(x) for x in sorted(comp, key=group.sort_key)],
+        "elements": [group.render(x) for x in group.sorted(comp)],
     }
 
 

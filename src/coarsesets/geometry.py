@@ -41,9 +41,8 @@ class Radius:
         return Radius(g, elems, label)
 
     def describe(self):
-        key = self.group.sort_key
         return self.label or "{" + ",".join(
-            self.group.render(e) for e in sorted(self.elements, key=key)) + "}"
+            map(self.group.render, self.group.sorted(self.elements))) + "}"
 
 
 def word_radius(group, r):

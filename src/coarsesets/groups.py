@@ -9,22 +9,21 @@ are inverses).
 Elements are plain payloads (int, tuple of ints, int bit mask, str);
 all operations live on the Group object, which is immutable.  Everything
 that differs between families (arithmetic, encodings, word balls, the
-finite windows, budget ladders, the default window, the bulk ball-size
-and chain-partition kernels) is a method or attribute of the family's
-Group subclass, so a new family is one new subclass.  A window is its
-integer extent, and the group answers every question about it.
+finite windows, budget ladders, the default window, the bulk translate,
+ball-size and chain-partition kernels) is a method or attribute of the
+family's Group subclass, so a new family is one new subclass.  A window
+is its integer extent, and the group answers every question about it.
 """
 
 from __future__ import annotations
 
 import string
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, islice, product, repeat
 from math import comb, gcd
-from operator import add
+from operator import add, itemgetter, xor
 
 WINDOW_CAP = 10**7
 
@@ -68,6 +67,11 @@ class Group:
         """The total order of ``ordered`` and of every rendered list: the
         element's own order, except on free:k."""
         return el
+
+    def sorted(self, elements):
+        """``elements`` as a list in ``sort_key`` order, sorted without a
+        Python key call (the ``sorted`` called here is the builtin)."""
+        return sorted(elements)
 
     def norm(self, el):
         """Word length over ``generators()``."""
@@ -141,11 +145,20 @@ class Group:
         """a * b^-1."""
         return self.mul(a, self.inv(b))
 
+    def translates(self, g, xs):
+        """An iterator over g * x for x in the collection ``xs``, in its
+        order: the bulk kernel that balls, ball sizes and chain components
+        translate by.  Families override it with one that skips the
+        per-element method call (z^d iterates ``xs`` once per
+        coordinate)."""
+        return map(self.mul, repeat(g), xs)
+
     def products(self, lefts, rights):
         """The set {a * b : a in lefts, b in rights}, equal to the set of
         ``mul(a, b)``.  ``rights`` is iterated once per left factor, so it
-        must be a collection.  Families override this with a bulk kernel
-        that skips the per-pair method call."""
+        must be a collection.  Families override this with a bulk kernel:
+        z and z2sum skip the per-pair method call, and abelian z^d
+        translates the larger side."""
         mul = self.mul
         return {mul(a, b) for a in lefts for b in rights}
 
@@ -183,7 +196,6 @@ class Group:
         while gcd(stride, n) > 1:
             stride += 1
         probe = [elements[i * stride % n] for i in range(n)]
-        mul = self.mul
         kept = []
         absent = 0
         inner = frozenset()
@@ -191,7 +203,7 @@ class Group:
         while self.word_ball_size(r) < n:
             ball = self.word_ball(r)
             for g in self.norm_sorted(ball - inner):
-                if members.isdisjoint(map(mul, repeat(g), probe)):
+                if members.isdisjoint(self.translates(g, probe)):
                     absent += 1
                     if absent > n // 4:
                         return None
@@ -204,30 +216,36 @@ class Group:
         return None
 
     def ball_sizes(self, sample, points, steps):
-        """{y: |Y n steps.y|} for every y in ``points``, Y the sample's
-        set.  f.y lies in Y exactly when f lies in Y.y^-1, so each size
-        right-translates the smaller of ``steps`` and Y by one element."""
+        """{y: |Y n steps.y|} for every y in the sequence ``points``, Y the
+        sample's set.  With fewer steps than Y, each step f translates all
+        the points at once and adds its hits f.y in Y to their counts.
+        Otherwise, as f.y lies in Y exactly when f lies in Y.y^-1, each
+        size right-translates Y by one element."""
         Y = sample.elements
         if len(steps) <= len(Y):
-            return {y: len(self.products(steps, (y,)) & Y) for y in points}
+            counts = repeat(0)
+            # a list per step: nesting one lazy map per step overflows the
+            # C stack when there are tens of thousands of steps
+            for f in steps:
+                counts = list(map(add, counts, map(
+                    Y.__contains__, self.translates(f, points))))
+            return dict(zip(points, counts))
         inv = self.inv
         return {y: len(self.products(Y, (inv(y),)) & steps) for y in points}
 
     def chain_component(self, members, a, steps):
         """The elements of ``members`` reachable from a by steps x -> k.x
-        (k in ``steps``) that stay inside ``members``.  One element at a
-        time: expanding whole frontiers with ``products`` costs more
-        memory on large samples."""
-        mul = self.mul
+        (k in ``steps``) that stay inside ``members``: a breadth-first
+        search that translates the whole frontier by every step, lazily,
+        keeping only the translates in ``members``."""
+        steps = steps - {self.identity()}
         seen = {a}
-        queue = deque([a])
-        while queue:
-            x = queue.popleft()
-            for k in steps:
-                y = mul(k, x)
-                if y in members and y not in seen:
-                    seen.add(y)
-                    queue.append(y)
+        frontier = [a]
+        while frontier:
+            found = members.intersection(chain.from_iterable(
+                map(self.translates, steps, repeat(frontier))))
+            frontier = list(found - seen)
+            seen.update(frontier)
         return frozenset(seen)
 
     def chain_partition(self, sample, steps):
@@ -259,6 +277,9 @@ class IntGroup(Group):
 
     def mul(self, a, b):
         return a + b
+
+    def translates(self, g, xs):
+        return map(add, repeat(g), xs)
 
     def products(self, lefts, rights):
         return {a + b for a in lefts for b in rights}
@@ -351,6 +372,20 @@ class LatticeGroup(Group):
     def mul(self, a, b):
         return tuple(map(add, a, b))
 
+    def translates(self, g, xs):
+        # one lazy map per coordinate, zipped: transposing ``xs`` with
+        # zip(*xs) would build a tuple iterator per element
+        return zip(*[map(add, map(itemgetter(i), xs), repeat(c))
+                     for i, c in enumerate(g)])
+
+    def products(self, lefts, rights):
+        # z^d is abelian: translate the larger side by each element of
+        # the smaller
+        if len(lefts) > len(rights):
+            lefts, rights = rights, lefts
+        return set(chain.from_iterable(
+            map(self.translates, lefts, repeat(rights))))
+
     def inv(self, a):
         return tuple(-x for x in a)
 
@@ -431,6 +466,9 @@ class XorGroup(Group):
 
     def mul(self, a, b):
         return a ^ b
+
+    def translates(self, g, xs):
+        return map(xor, repeat(g), xs)
 
     def products(self, lefts, rights):
         return {a ^ b for a in lefts for b in rights}
@@ -538,6 +576,8 @@ class FreeGroup(Group):
         # Every element is a reduced word (parse reduces, validate rejects
         # unreduced words, and products of reduced words are reduced), so
         # letters can cancel only where the two words meet.
+        if not (a and b and a[-1] == b[0].swapcase()):
+            return a + b
         n = min(len(a), len(b))
         i = 0
         while i < n and a[-1 - i] == b[i].swapcase():
@@ -560,6 +600,9 @@ class FreeGroup(Group):
 
     def sort_key(self, el):
         return (len(el), el)
+
+    # (len, el) order is (norm, own) order
+    sorted = Group.norm_sorted
 
     norm = staticmethod(len)
 
@@ -654,7 +697,7 @@ class FiniteSample:
     @cached_property
     def ordered(self):
         """The elements as a tuple in ``sort_key`` order, sorted once."""
-        return tuple(sorted(self.elements, key=self.group.sort_key))
+        return tuple(self.group.sorted(self.elements))
 
     @cached_property
     def outer(self):

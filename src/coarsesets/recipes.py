@@ -157,6 +157,10 @@ def spec_from_json(obj):
     if not isinstance(obj, dict):
         raise GroupError("set spec must be a JSON object")
     data = dict(obj)
+    for field, key in (("group_spec", "group"), ("window_extent", "window")):
+        if field in data:
+            raise GroupError(f"recipe key {field!r} is not a recipe "
+                             f"parameter; the file names it {key!r}")
     group_spec = data.pop("group", "z")
     kind = data.pop("kind", None)
     window = None

@@ -195,6 +195,24 @@ def test_non_string_group_spec(capsys, tmp_path):
     assert report["error"]["type"] == "GroupError"
 
 
+@pytest.mark.parametrize("field,key,value", [
+    ("window_extent", "window", 3),
+    ("group_spec", "group", "z"),
+])
+def test_recipe_file_rejects_setspec_field_names(capsys, tmp_path, field,
+                                                key, value):
+    """A file key naming a SetSpec field, not the file's own key, is an
+    input error, not a keyword clash inside SetSpec.make."""
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps({"kind": "window", field: value}))
+    code, out, err = invoke(capsys, "gen", "--set", str(spec))
+    assert (code, out) == (2, "")
+    report = json.loads(err)
+    assert report["error"]["type"] == "GroupError"
+    assert repr(field) in report["error"]["message"]
+    assert repr(key) in report["error"]["message"]
+
+
 @pytest.mark.parametrize("argv", [
     ("ball", "--group", "z", "--center", "0", "--radius", "wordball:99999999"),
     ("ball", "--group", "free:2", "--center", "e", "--radius",

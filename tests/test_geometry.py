@@ -145,6 +145,38 @@ def test_chain_component_matches_union_find():
         assert comp in expected
 
 
+# name -> (group, universe to draw the sample, its start points and K
+# from); z2sum:6 draws masks wider than m too
+CHAIN_FAMILIES = {
+    "z^2": (_LATTICE, sorted(_LATTICE.window_elements(4))),
+    "z2sum:6": (XorGroup(6), list(range(2**8))),
+    "free:2": (_FREE, sorted(_FREE.word_ball(3), key=_FREE.sort_key)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CHAIN_FAMILIES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_chain_partition_matches_union_find(family, data):
+    group, universe = CHAIN_FAMILIES[family]
+    elements = st.sampled_from(universe)
+    elems = data.draw(st.frozensets(elements, min_size=1, max_size=40))
+    K = data.draw(st.one_of(
+        st.sampled_from([word_radius(group, r).elements for r in (1, 2)]),
+        st.frozensets(elements, min_size=1, max_size=4)))
+    radius = Radius(group, K)
+    sample = FiniteSample(group, elems)
+    expected = set(oracles.union_find_components(group, elems, K))
+    comps = chain_partition(sample, radius)
+    assert set(comps) == expected and len(comps) == len(expected)
+    leasts = [min(c, key=group.sort_key) for c in comps]
+    assert leasts == sorted(leasts, key=group.sort_key)
+    starts = st.sampled_from(sorted(elems, key=group.sort_key))
+    for a in data.draw(st.lists(starts, min_size=1, max_size=3)):
+        comp = chain_component(sample, a, radius)
+        assert a in comp and comp in expected
+
+
 @given(st.data())
 def test_chain_component_monotone_in_radius(data):
     elems = data.draw(st.frozensets(st.integers(-40, 40), min_size=1, max_size=25))

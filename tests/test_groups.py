@@ -68,6 +68,40 @@ def test_products_wide_masks_and_free_junctions():
     assert f.products(["abc"], ["CBA", "CBa", "Cb", "a"]) == {"", "aa", "abb", "abca"}
 
 
+# every family, plus z^1 and z^3 (the translate kernel zips one map per
+# coordinate) and z2sum masks wider than m
+TRANSLATE_FAMILIES = groups_and_element_strategies() + [
+    (LatticeGroup(1), st.tuples(st.integers(-1000, 1000))),
+    (LatticeGroup(3), st.tuples(*[st.integers(-1000, 1000)] * 3)),
+    (XorGroup(3), st.integers(0, 2**9 - 1)),
+]
+
+
+@pytest.mark.parametrize("group,elements", TRANSLATE_FAMILIES,
+                         ids=lambda v: getattr(v, "spec", ""))
+@given(data=st.data())
+def test_translates_is_mul_in_order(group, elements, data):
+    g = data.draw(elements)
+    xs = data.draw(st.lists(elements, max_size=8))
+    # g^-1 cancels g fully; on free:k, a prefix of g^-1 cancels it in part
+    xs.append(group.inv(g))
+    if isinstance(group, FreeGroup):
+        xs += [reduce_word(group.inv(g)[:k] + w)
+               for k in range(len(g) + 1) for w in ("", "a", "B")]
+    data.draw(st.randoms()).shuffle(xs)
+    for part in ([], xs[:1], xs):
+        assert list(group.translates(g, part)) == [group.mul(g, x)
+                                                   for x in part]
+
+
+@pytest.mark.parametrize("group,elements", TRANSLATE_FAMILIES,
+                         ids=lambda v: getattr(v, "spec", ""))
+@given(data=st.data())
+def test_sorted_is_sort_key_order(group, elements, data):
+    s = data.draw(st.frozensets(elements, max_size=30))
+    assert group.sorted(s) == sorted(s, key=group.sort_key)
+
+
 @given(data=st.data())
 def test_mul_matches_reference_definitions(data):
     lattice = LatticeGroup(3)
