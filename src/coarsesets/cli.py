@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import budgets, classifiers, density, structures
@@ -113,7 +114,7 @@ def _emit(body, args):
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    print(text)
+    print(text, flush=True)
     return 1 if report.get("verdict") in NEGATIVE_VERDICTS else 0
 
 
@@ -327,6 +328,11 @@ def run(argv):
         return _emit(args.fn(args), args)
     except SystemExit as exc:   # --help
         return exc.code or 0
+    except BrokenPipeError:
+        # the reader closed stdout: exit as a SIGPIPE kill would, with
+        # stdout on devnull so that the interpreter's last flush is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (GroupError, BudgetExceededError, CliError, OSError,
             ValueError, KeyError, json.JSONDecodeError) as exc:
         err = {

@@ -13,6 +13,7 @@ set's own elements and their quotients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from . import budgets
 from .groups import (FiniteSample, GroupError, IntGroup, XorGroup,
@@ -193,11 +194,12 @@ def _pool_partners(group, pool, cands):
                              key=position.__getitem__)
 
 
-def _chain_step(group, cands, g):
-    """The next chain set A & g^-1.A of the candidate list A: the x in A
-    with g.x in A, in the order of A."""
-    kept = group.products((group.inv(g),), cands) & set(cands)
-    return [x for x in cands if x in kept]
+def _chain_step(group, cands, members, g):
+    """The next chain set A & g^-1.A of the candidate list A, whose
+    elements are the set ``members``: the x in A with g.x in A, in the
+    order of A, in one pass of the family's ``translates`` kernel."""
+    return list(compress(cands, map(members.__contains__,
+                                    group.translates(g, cands))))
 
 
 def detect_pwip(sample, depth, scale=None):
@@ -240,9 +242,13 @@ def detect_pwip(sample, depth, scale=None):
     # and is picked last.  Both x and t come from ``cands``, the chain
     # set A_j of the sample elements whose prefix translates all lie in
     # the sample; the generator g picked at stage j shrinks it to
-    # A_{j+1} = A_j & g^-1.A_j.  Every element left out would fail
+    # A_{j+1} = A_j & g^-1.A_j, in one pass over A_j against the member
+    # set built once per node.  Every element left out would fail
     # ``translate``, so the search takes the same branches in the same
-    # order as over the whole sample.
+    # order as over the whole sample.  A child that still has to pick
+    # needs 3 elements of A_{j+1}: its x and t differ, and both differ
+    # from this stage's x, which lies in A_{j+1} (g.x = t is in A_j)
+    # and is already taken.  So a smaller A_{j+1} is skipped unsearched.
     def extend(stage, gens, found, cands):
         taken = set(found)
         if stage == depth:
@@ -250,6 +256,7 @@ def detect_pwip(sample, depth, scale=None):
             return gens, [next(x for x in ordered if x not in taken)] + found
         prefix = _subset_products(group, gens)
         partners = _pool_partners(group, pool_list, cands)
+        members = frozenset(cands)
         for xj in cands:
             part1 = translate(prefix, xj, taken)
             if part1 is None:
@@ -263,8 +270,11 @@ def detect_pwip(sample, depth, scale=None):
                 part2 = translate(prefix, t, taken1)
                 if part2 is None:
                     continue
+                nxt = _chain_step(group, cands, members, gj)
+                if stage + 1 < depth and len(nxt) < 3:
+                    continue
                 hit = extend(stage + 1, gens + [gj], found + part1 + part2,
-                             _chain_step(group, cands, gj))
+                             nxt)
                 if hit is not None:
                     return hit
         return None

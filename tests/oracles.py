@@ -102,6 +102,62 @@ def pwip_exists_depth3(group, elements):
     return False
 
 
+def pwip_exists_by_levels(group, elements, depth):
+    """Level-by-level assignment of sample elements to the 2^d - 1
+    product slots.  Level j (1 <= j < d) picks P({j}) and P({j-1, j})
+    in the sample and solves g_{j-1} = P({j-1, j}).P({j})^-1; every
+    product P(S + {j}) = g_S.P({j}) over S <= {0..j-1}, with g_S the
+    product of the g_i over S in increasing i, must then be a sample
+    element not used so far.  g_{d-1} and the shifts are free, and
+    P({0}) is any element left over."""
+    elems = sorted(elements, key=group.sort_key)
+    eset = set(elems)
+    if len(elems) < 2 ** depth - 1:
+        return False
+
+    def place(vals, used):
+        """The lazily computed ``vals`` as a list if they are distinct
+        sample elements outside ``used``, else None."""
+        out = []
+        for v in vals:
+            if v not in eset or v in used or v in out:
+                return None
+            out.append(v)
+        return out
+
+    def level(j, gens, used):
+        if j == depth:
+            return len(used) < len(elems)
+        # g_S over S <= {0..j-2}, by the definition
+        old = []
+        for mask in range(2 ** (j - 1)):
+            p = group.identity()
+            for i, g in enumerate(gens):
+                if mask >> i & 1:
+                    p = group.mul(p, g)
+            old.append(p)
+        for x in elems:
+            # the products without g_{j-1} do not depend on t
+            low = place((group.mul(p, x) for p in old), used)
+            if low is None:
+                continue
+            used_low = used.union(low)
+            for t in elems:
+                if t == x:
+                    continue
+                g = group.div(t, x)
+                if g in gens:
+                    continue
+                high = place((group.mul(group.mul(p, g), x) for p in old),
+                             used_low)
+                if high is not None and level(j + 1, gens + [g],
+                                              used_low.union(high)):
+                    return True
+        return False
+
+    return level(1, [], frozenset())
+
+
 def pwip_exists(group, elements, depth):
     if depth == 1:
         return pwip_exists_depth1(elements)
@@ -109,7 +165,9 @@ def pwip_exists(group, elements, depth):
         return pwip_exists_depth2(group, elements)
     if depth == 3:
         return pwip_exists_depth3(group, elements)
-    raise ValueError("oracle supports depth 1..3")
+    if depth == 4:
+        return pwip_exists_by_levels(group, elements, 4)
+    raise ValueError("oracle supports depth 1..4")
 
 
 def isolated_balls_direct(group, elements, interior, f_family, h_families):

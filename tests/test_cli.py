@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+import coarsesets
 from coarsesets.cli import COMMANDS, build_parser, run
 from coarsesets.recipes import SetSpec
 
@@ -574,3 +577,20 @@ def test_side_file_must_name_the_sample_group(capsys, tmp_path, command, flag):
     code, report = invoke_json(capsys, *argv)
     assert code in (0, 1)
     assert report["kind"] != "error"
+
+
+def test_closed_stdout_exits_141_silently():
+    # the report (about 1.3 MB) outgrows the 64 KiB pipe buffer, so the
+    # write fails once the reader has closed the pipe after 1 byte
+    src = os.path.dirname(os.path.dirname(coarsesets.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coarsesets.cli", "gen", "--group", "z",
+         "--kind", "window", "--window", "50000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

@@ -258,7 +258,7 @@ def test_chain_step_matches_brute_force(family, data):
         assert cands == [x for x in ordered
                          if all(group.mul(p, x) in elems for p in prefix)]
         if j < len(gens):
-            cands = _chain_step(group, cands, gens[j])
+            cands = _chain_step(group, cands, frozenset(cands), gens[j])
 
 
 @pytest.mark.parametrize("family", sorted(CHAIN_UNIVERSES))
@@ -274,6 +274,30 @@ def test_detect_pwip_chain_search_matches_oracle(family, data):
     assert (got is not None) == oracles.pwip_exists(group, elems, 3)
     for witness in (got, detect_pwip(sample, 4)):
         assert witness is None or witness.validate(elems)
+
+
+# Past stage 1 the three-element cutoff can only fire at depth >= 4.
+# 15 points are the fewest that hold a depth-4 witness, and the
+# oracle's exhaustive search bounds the draw.
+@pytest.mark.parametrize("family", sorted(CHAIN_UNIVERSES))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_detect_pwip_depth4_matches_oracle(family, data):
+    group, universe = CHAIN_UNIVERSES[family]
+    elems = frozenset(data.draw(st.lists(st.sampled_from(universe),
+                                         min_size=15, max_size=16,
+                                         unique=True)))
+    got = detect_pwip(FiniteSample(group, elems), 4)
+    assert (got is not None) == oracles.pwip_exists(group, elems, 4)
+    assert got is None or got.validate(elems)
+
+
+def test_detect_pwip_finds_the_depth4_ip_set():
+    sample = gen_ip(Z, (1, 10, 100, 1000))
+    assert len(sample) == 15
+    assert oracles.pwip_exists(Z, sample.elements, 4)
+    witness = detect_pwip(sample, 4)
+    assert witness is not None and witness.validate(sample.elements)
 
 
 @pytest.mark.parametrize("family", sorted(CHAIN_UNIVERSES))
