@@ -15,7 +15,7 @@ from itertools import combinations
 
 from . import structures
 from .geometry import ball_sizes, chain_partition, word_radius
-from .groups import FiniteSample, GroupError
+from .groups import FiniteSample, GroupError, word_ball_elements
 
 
 @dataclass(frozen=True)
@@ -178,31 +178,32 @@ def isolated_balls_verdict(sample, scale, ambient=None):
     if not interior:
         raise GroupError("interior empty at the requested margin")
     refutations = []
-    for r, F in enumerate(scale.f_family(group)):
-        f_sizes = ball_sizes(universe, interior, F)
+    universe_name = "SAMPLE" if ambient is None else "AMBIENT"
+    for r in range(scale.f_max + 1):
+        f_label = f"wordball:{r}"
+        f_sizes = group.ball_sizes(universe, interior,
+                                   word_ball_elements(group, r))
         counts = []
-        refuting_h = None
-        last_isolated = ()
-        for H in scale.h_candidates(group, r):
-            # Every H is wordball(r + t), which contains F = wordball(r),
-            # so B_Y(y,F) <= B_Y(y,H), and B_Y(y,H) <= B_Y(y,F) holds
-            # exactly when the two sizes agree.
-            h_sizes = ball_sizes(universe, interior, H)
+        for t in group.clamp_ladder(scale.ladder):
+            # H = wordball(r + t) contains F = wordball(r), so
+            # B_Y(y,F) <= B_Y(y,H), and B_Y(y,H) <= B_Y(y,F) holds
+            # exactly when the two sizes agree.  No H past the first
+            # that refutes F is built.
+            h_label = f"{f_label}+wordball:{t}"
+            h_sizes = group.ball_sizes(universe, interior,
+                                       word_ball_elements(group, r + t))
             isolated = [y for y in interior if h_sizes[y] == f_sizes[y]]
-            counts.append((H.label, len(isolated)))
-            last_isolated = tuple(isolated)
+            counts.append((h_label, len(isolated)))
             if not isolated:
-                refuting_h = H
+                refutations.append((f_label, h_label))
                 break
-        if refuting_h is None:
+        else:
             return IsolatedBallsReport(
-                "HAS_ISOLATED_BALLS", F.describe(), tuple(counts), last_isolated,
-                (), len(interior), scale.name,
-                "SAMPLE" if ambient is None else "AMBIENT")
-        refutations.append((F.describe(), refuting_h.label))
+                "HAS_ISOLATED_BALLS", f_label, tuple(counts), tuple(isolated),
+                (), len(interior), scale.name, universe_name)
     return IsolatedBallsReport(
         "NO_ISOLATED_BALLS_AT_SCALE", None, (), (), tuple(refutations),
-        len(interior), scale.name, "SAMPLE" if ambient is None else "AMBIENT")
+        len(interior), scale.name, universe_name)
 
 
 def _largest_cluster(sample, scale):
@@ -238,8 +239,8 @@ def classify(sample, scale):
 
     per_radius = []
     degree = 0
-    for F in scale.f_family(group):
-        rep = thin_degree(sample, F, scale)
+    for r in range(scale.f_max + 1):
+        rep = thin_degree(sample, word_radius(group, r), scale)
         per_radius.append(rep.to_json_dict(group))
         degree = max(degree, rep.degree)
     out["thin"] = {"degree": str(degree), "per_radius": per_radius}

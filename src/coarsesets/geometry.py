@@ -137,13 +137,13 @@ def cellularity_probe(sample, radius, scale):
     needed = 1
     for a in interior:
         r = reach(group, comp_of[a], a)
-        if r > scale.kprime_max:
+        if r > scale.f_max:
             return CellularityReport(radius.describe(), "NOT_CELLULAR_AT_SCALE",
-                                     None, a, len(interior), scale.kprime_max, sym)
+                                     None, a, len(interior), scale.f_max, sym)
         needed = max(needed, r)
     return CellularityReport(radius.describe(), "CELLULAR_AT_SCALE",
                              f"wordball:{needed}", None, len(interior),
-                             scale.kprime_max, sym)
+                             scale.f_max, sym)
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,7 @@ def prec_mapping_check(mapping, domain, radius, scale, codomain=None):
     for x in interior:
         images = [mapping[x2] for x2 in ball(group, x, radius) & X]
         r = reach(cod, images, mapping[x])
-        if r > scale.kprime_max:
+        if r > scale.f_max:
             return PrecReport(radius.describe(), "NOT_PREC", None, x,
                               len(interior))
         needed = max(needed, r)

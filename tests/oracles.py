@@ -170,6 +170,16 @@ def pwip_exists(group, elements, depth):
     raise ValueError("oracle supports depth 1..4")
 
 
+def word_ball_families(group, scale):
+    """The radii of the isolated-balls criterion at ``scale``, built from
+    ``group.word_ball``: F = wordball(r) for r = 0..f_max, and for each F
+    the enlargements H = wordball(r + t), t on the family's ladder."""
+    radii = range(scale.f_max + 1)
+    ladder = group.clamp_ladder(scale.ladder)
+    return ([group.word_ball(r) for r in radii],
+            [[group.word_ball(r + t) for t in ladder] for r in radii])
+
+
 def isolated_balls_direct(group, elements, interior, f_family, h_families):
     """Literal quantifier string: exists F such that for every H the set
     {y interior : B_Y(y,H) subset of B_Y(y,F)} is nonempty.

@@ -156,12 +156,8 @@ def test_07_cantor_geodesic_behavior():
     margin = MEDIUM.margin_for(Z)
     interior = [y for y in small.ordered
                 if Z.window_interior(small.window, y, margin)]
-    f_family = MEDIUM.f_family(Z)
-    h_families = [[h.elements for h in MEDIUM.h_candidates(Z, r)]
-                  for r in range(len(f_family))]
     direct = oracles.isolated_balls_direct(
-        Z, small.elements, interior,
-        [F.elements for F in f_family], h_families)
+        Z, small.elements, interior, *oracles.word_ball_families(Z, MEDIUM))
     assert direct == "NO_ISOLATED_BALLS_AT_SCALE"
     report(7, "Cantor-geodesic set is cellular at wordball:1 and has no "
               "isolated balls at medium scale (oracle-confirmed)")
@@ -180,11 +176,8 @@ def test_08_isolated_balls_oracle():
         margin = MEDIUM.margin_for(Z)
         interior = [y for y in sample.ordered
                     if Z.window_interior(extent, y, margin)]
-        f_family = MEDIUM.f_family(Z)
-        h_families = [[h.elements for h in MEDIUM.h_candidates(Z, r)]
-                      for r in range(len(f_family))]
         direct = oracles.isolated_balls_direct(
-            Z, elems, interior, [F.elements for F in f_family], h_families)
+            Z, elems, interior, *oracles.word_ball_families(Z, MEDIUM))
         assert rep.verdict == direct
         count += 1
     assert count == 50

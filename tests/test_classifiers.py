@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -11,7 +10,8 @@ from coarsesets.classifiers import (SparseReport, classify,
                                     thin_degree)
 from coarsesets.geometry import Radius, word_radius
 from coarsesets.groups import (FiniteSample, FreeGroup, GroupError, IntGroup,
-                               LatticeGroup, XorGroup, group_from_spec)
+                               LatticeGroup, XorGroup, enumerate_window,
+                               group_from_spec)
 from coarsesets.recipes import SetSpec
 from coarsesets.structures import gen_cantor_geodesic
 
@@ -31,33 +31,25 @@ def test_presets():
     assert preset("large").pool_cap == 4096
     with pytest.raises(ValueError):
         preset("huge")
-    assert [r.label for r in SMALL.f_family(Z)][:2] == ["wordball:0", "wordball:1"]
-    h = SMALL.h_candidates(Z, 1)
-    assert len(h) == len(SMALL.ladder)
-    for radius in h:
-        assert word_radius(Z, 1).elements <= radius.elements
 
 
 @pytest.mark.parametrize("spec", ["z", "z^2", "z^3", "z2sum:4", "z2sum:6",
                                   "free:1", "free:2"])
 @pytest.mark.parametrize("name", ["small", "medium", "large"])
 def test_h_candidates_are_the_thickened_word_balls(spec, name):
-    """wordball(r + t) is wordball(t).(wordball(r) u {e}), label included,
-    for every ladder radius t whose products stay under 10**5 pairs."""
+    """Each enlargement H of F = wordball(r), wordball(r + t), is
+    wordball(t).(wordball(r) u {e}), for every ladder radius t whose
+    products stay under 10**5 pairs."""
     group = group_from_spec(spec)
     scale = preset(name)
     checked = 0
     for r in range(scale.f_max + 1):
         base = group.word_ball(r) | {group.identity()}
-        fits = [t for t in group.clamp_ladder(scale.ladder)
-                if group.word_ball_size(t) * len(base) <= 10**5]
-        # every family's clamp_ladder leaves its own output unchanged
-        hs = replace(scale, ladder=tuple(fits)).h_candidates(group, r)
-        assert len(hs) == len(fits)
-        for t, H in zip(fits, hs):
-            assert H.elements == group.products(group.word_ball(t), base)
-            assert H.label == f"wordball:{r}+wordball:{t}"
-            checked += 1
+        for t in group.clamp_ladder(scale.ladder):
+            if group.word_ball_size(t) * len(base) <= 10**5:
+                assert group.word_ball(r + t) == \
+                    group.products(group.word_ball(t), base)
+                checked += 1
     assert checked >= scale.f_max + 1
 
 
@@ -204,6 +196,8 @@ def test_isolated_balls_powers():
     rep = isolated_balls_verdict(sample, MEDIUM)
     assert rep.verdict == "HAS_ISOLATED_BALLS"
     assert rep.winning_f == "wordball:0"
+    assert [h for h, _ in rep.isolated_counts] == \
+        [f"wordball:0+wordball:{t}" for t in MEDIUM.ladder]
     assert all(c >= 1 for _, c in rep.isolated_counts)
 
 
@@ -211,7 +205,30 @@ def test_isolated_balls_window():
     sample = resolved("window", window=128)
     rep = isolated_balls_verdict(sample, MEDIUM)
     assert rep.verdict == "NO_ISOLATED_BALLS_AT_SCALE"
-    assert len(rep.refutations) == MEDIUM.f_max + 1
+    assert rep.refutations == tuple(
+        (f"wordball:{r}", f"wordball:{r}+wordball:1")
+        for r in range(MEDIUM.f_max + 1))
+
+
+def test_isolated_balls_builds_no_enlargement_past_the_refuting_one(
+        monkeypatch):
+    # on a whole z^2 window every F = wordball(r) is refuted at t = 1, so
+    # only the word balls of radius r and r + 1 may be built
+    group = LatticeGroup(2)
+    sample = enumerate_window(group, 32)
+    built = []
+    word_ball = LatticeGroup.word_ball
+
+    def counted(self, r):
+        built.append(r)
+        return word_ball(self, r)
+
+    monkeypatch.setattr(LatticeGroup, "word_ball", counted)
+    rep = isolated_balls_verdict(sample, SMALL)
+    assert rep.refutations == tuple(
+        (f"wordball:{r}", f"wordball:{r}+wordball:1")
+        for r in range(SMALL.f_max + 1))
+    assert set(built) == set(range(SMALL.f_max + 2))
 
 
 def test_isolated_balls_w2():
@@ -245,12 +262,9 @@ def _direct_isolated_oracle(sample, scale):
     window = sample.window
     interior = [y for y in sample.ordered
                 if window is None or group.window_interior(window, y, margin)]
-    f_family = scale.f_family(group)
-    h_families = [[h.elements for h in scale.h_candidates(group, r)]
-                  for r in range(len(f_family))]
     return oracles.isolated_balls_direct(
         group, sample.elements, interior,
-        [F.elements for F in f_family], h_families)
+        *oracles.word_ball_families(group, scale))
 
 
 def test_isolated_balls_oracle_equivalence():
@@ -285,9 +299,9 @@ def test_budget_monotonicity():
     """Growing the F-family can only help HAS; growing the H-ladder can
     only help NO."""
     sample = resolved("powers", base=2, window=512)
-    base = Scale("t", 2, (1, 3), 64, 3, 2)
-    more_f = Scale("t", 5, (1, 3), 64, 3, 2)
-    more_h = Scale("t", 2, (1, 3, 9, 27, 81), 64, 3, 2)
+    base = Scale("t", 2, (1, 3), 64, 2)
+    more_f = Scale("t", 5, (1, 3), 64, 2)
+    more_h = Scale("t", 2, (1, 3, 9, 27, 81), 64, 2)
     v0 = isolated_balls_verdict(sample, base).verdict
     if v0 == "HAS_ISOLATED_BALLS":
         assert isolated_balls_verdict(sample, more_f).verdict == v0

@@ -256,13 +256,13 @@ def test_cellularity_and_prec_match_the_word_ball_oracle(family, data):
     rep = cellularity_probe(sample, Radius(group, steps), scale)
     assert (rep.verdict, rep.kprime_label, rep.offender) == \
         oracles.cellularity_direct(group, elems, interior, steps,
-                                   scale.kprime_max)
+                                   scale.f_max)
     images = data.draw(st.lists(elements, min_size=len(elems),
                                 max_size=len(elems)))
     mapping = dict(zip(sample.ordered, images))
     rep = prec_mapping_check(mapping, sample, Radius(group, steps), scale)
     assert (rep.verdict, rep.k_label, rep.witness) == \
-        oracles.prec_direct(group, mapping, interior, steps, scale.kprime_max)
+        oracles.prec_direct(group, mapping, interior, steps, scale.f_max)
 
 
 def test_prec_identity_and_doubling():
