@@ -11,10 +11,10 @@ carries the scale it was computed at.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 from . import structures
-from .geometry import ball_sizes, chain_partition, word_radius
+from .geometry import ball_sizes, word_radius
 from .groups import FiniteSample, GroupError, word_ball_elements
 
 
@@ -97,8 +97,9 @@ def sparse_witness(sample, xset, scale):
     """Smallest F inside X whose translate intersection with the sample
     is window-stable-finite.
 
-    Candidates are subsets of X of 1 to 3 elements (size, then
-    lexicographic), drawn from a deterministically capped pool.
+    Candidates are the first ``pool_cap`` subsets of X of 1 to 3
+    elements (size, then lexicographic), drawn from a deterministically
+    capped pool.
     Stability compares the intersection size against the sample
     regenerated in the enlarged window.  By left invariance,
     |n_{g in F} gA| = |A n n_{g in F[1:]} (F[0]^-1.g)A|, so both sizes
@@ -111,27 +112,22 @@ def sparse_witness(sample, xset, scale):
     pool = xset.ordered[: max(scale.pool_cap // 16, 8)]
     samples = (sample.elements, sample.outer.elements)
     sizes = {(): tuple(map(len, samples))}   # quotients -> (inner, outer) size
-    checked = 0
-    for size in (1, 2, 3):
-        for F in combinations(pool, size):
-            if checked >= scale.pool_cap:
-                break
-            checked += 1
-            head = group.inv(F[0])
-            key = tuple(group.translates(head, F[1:]))
-            if key not in sizes:
-                sizes[key] = tuple(
-                    len(_translate_intersection(group, key, els) & els)
-                    for els in samples)
-            inner_n, outer_n = sizes[key]
-            if inner_n != outer_n:
-                continue
-            inner_i = _translate_intersection(group, F, sample.elements)
-            return SparseReport("WITNESS_FOUND", F,
-                                tuple(group.sorted(inner_i)),
-                                len(inner_i), checked)
-        if checked >= scale.pool_cap:
-            break
+    candidates = islice(chain.from_iterable(
+        combinations(pool, k) for k in (1, 2, 3)), scale.pool_cap)
+    for checked, F in enumerate(candidates, 1):
+        head = group.inv(F[0])
+        key = tuple(group.translates(head, F[1:]))
+        if key not in sizes:
+            sizes[key] = tuple(
+                len(_translate_intersection(group, key, els) & els)
+                for els in samples)
+        inner_n, outer_n = sizes[key]
+        if inner_n != outer_n:
+            continue
+        inner_i = _translate_intersection(group, F, sample.elements)
+        return SparseReport("WITNESS_FOUND", F,
+                            tuple(group.sorted(inner_i)),
+                            len(inner_i), checked)
     return SparseReport("NO_WITNESS_AT_SCALE", None, (), None, checked)
 
 
@@ -207,12 +203,11 @@ def isolated_balls_verdict(sample, scale, ambient=None):
 
 
 def _largest_cluster(sample, scale):
-    """Largest chain component at the margin word radius; deterministic
-    tie-break by minimal element."""
+    """Largest chain component at the margin word radius; of equal ones,
+    the first, which ``chain_partition`` orders by least element."""
     group = sample.group
-    margin = scale.margin_for(group)
-    comps = chain_partition(sample, word_radius(group, margin))
-    best = min(comps, key=lambda c: (-len(c), group.sort_key(min(c, key=group.sort_key))))
+    steps = word_ball_elements(group, scale.margin_for(group))
+    best = max(group.chain_partition(sample, steps), key=len)
     return FiniteSample(group, best, sample.window, None)
 
 
@@ -245,16 +240,16 @@ def classify(sample, scale):
         degree = max(degree, rep.degree)
     out["thin"] = {"degree": str(degree), "per_radius": per_radius}
 
-    probes = []
-    verdicts = []
     cluster = _largest_cluster(sample, scale)
-    for name, xset in (("full", sample), ("largest-cluster", cluster)):
-        rep = sparse_witness(sample, xset, scale)
-        probes.append({"x": name, **rep.to_json_dict(group)})
-        verdicts.append(rep.verdict)
-    sparse_verdict = ("WITNESS_FOUND" if all(v == "WITNESS_FOUND" for v in verdicts)
-                      else "NO_WITNESS_AT_SCALE")
-    out["sparse"] = {"verdict": sparse_verdict, "probes": probes}
+    full = sparse_witness(sample, sample, scale)
+    # the cluster lies in A, so equal sizes mean X = A: reuse the probe
+    largest = (full if len(cluster) == len(sample)
+               else sparse_witness(sample, cluster, scale))
+    both = full.verdict == largest.verdict == "WITNESS_FOUND"
+    out["sparse"] = {
+        "verdict": "WITNESS_FOUND" if both else "NO_WITNESS_AT_SCALE",
+        "probes": [{"x": "full", **full.to_json_dict(group)},
+                   {"x": "largest-cluster", **largest.to_json_dict(group)}]}
 
     iso = isolated_balls_verdict(sample, scale)
     out["isolated_balls"] = iso.to_json_dict(group)

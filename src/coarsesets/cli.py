@@ -333,8 +333,8 @@ def run(argv):
         # stdout on devnull so that the interpreter's last flush is silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (GroupError, BudgetExceededError, CliError, OSError,
-            ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (BudgetExceededError, CliError, OSError, ValueError,
+            KeyError) as exc:
         err = {
             "schema": SCHEMA,
             "kind": "error",

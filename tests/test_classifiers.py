@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coarsesets import classifiers
 from coarsesets.budgets import Scale, preset
 from coarsesets.classifiers import (SparseReport, classify,
                                     isolated_balls_verdict, sparse_witness,
@@ -191,6 +192,45 @@ def test_sparse_witness_matches_definition(family, data):
         _sparse_reference(sample, xset, SMALL)
 
 
+def test_sparse_candidates_stop_at_the_pool_cap():
+    # a pool of 8 gives 8 + 28 + 56 = 92 candidates, past the cap of 64
+    sample = resolved("window", window=128)
+    rep = sparse_witness(sample, sample, SMALL)
+    assert rep.verdict == "NO_WITNESS_AT_SCALE"
+    assert rep.candidates_checked == SMALL.pool_cap == 64
+
+
+def test_sparse_candidates_count_every_subset_of_a_small_pool():
+    sample = resolved("window", window=128)
+    xset = FiniteSample(Z, frozenset(range(5)))
+    rep = sparse_witness(sample, xset, SMALL)
+    assert rep.verdict == "NO_WITNESS_AT_SCALE"
+    assert rep.candidates_checked == 5 + 10 + 10
+
+
+_POWERS = {"kind": "powers", "base": 2, "window": 512}
+_THIRDS = {"kind": "periodic", "modulus": 3, "residues": ["0", "1"],
+           "window": 64}
+
+
+@pytest.mark.parametrize("recipe, xs, scale, position", [
+    (_THIRDS, {0, 1, 2, 200, 300}, SMALL, 5 + 10 + 1),  # the first triple
+    (_POWERS, None, SMALL, 8 + 1),                      # the first pair
+    (_POWERS, None, MEDIUM, 10 + 1),                    # of all 10 powers
+])
+def test_sparse_candidates_checked_is_the_position_of_the_witness(
+        recipe, xs, scale, position):
+    """The winning F's 1-based position among the subsets of the pool in
+    size, then lexicographic order (X = A when ``xs`` is None)."""
+    sample = resolved(**recipe)
+    xset = sample if xs is None else FiniteSample(Z, frozenset(xs))
+    rep = sparse_witness(sample, xset, scale)
+    assert rep.verdict == "WITNESS_FOUND"
+    pool = xset.ordered[: max(scale.pool_cap // 16, 8)]
+    order = [F for k in (1, 2, 3) for F in combinations(pool, k)]
+    assert rep.candidates_checked == order.index(rep.witness) + 1 == position
+
+
 def test_isolated_balls_powers():
     sample = resolved("powers", base=2, window=512)
     rep = isolated_balls_verdict(sample, MEDIUM)
@@ -333,3 +373,71 @@ def test_classify_empty():
     report = classify(FiniteSample(Z, frozenset(), 64), SMALL)
     assert report["size"] == "0"
     assert report["consistent"] is True
+
+
+# two largest chain clusters of equal size at the small margin (30 on z
+# and z^2, 7 on free:2), after a smaller cluster that sorts first
+TIED_CLUSTERS = {
+    "z": (Z, {-200}, {0, 1, 2}, {100, 101, 102}),
+    "z^2": (LatticeGroup(2), {(-100, 0)}, {(0, 0), (0, 1)},
+            {(100, 0), (100, 1)}),
+    "free:2": (FreeGroup(2), {"A" * 10}, {"a" * 10, "a" * 11},
+               {"b" * 10, "b" * 11}),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(TIED_CLUSTERS))
+def test_largest_cluster_tie_goes_to_the_least_element(spec):
+    group, small, first, second = TIED_CLUSTERS[spec]
+    assert group.sort_key(min(first, key=group.sort_key)) < \
+        group.sort_key(min(second, key=group.sort_key))
+    sample = FiniteSample(group, frozenset(small | first | second))
+    assert classifiers._largest_cluster(sample, SMALL).elements == first
+
+
+def _counted_sparse_witness(monkeypatch):
+    calls = []
+    original = classifiers.sparse_witness
+
+    def counted(sample, xset, scale):
+        calls.append(xset)
+        return original(sample, xset, scale)
+
+    monkeypatch.setattr(classifiers, "sparse_witness", counted)
+    return calls
+
+
+def test_classify_reuses_the_full_probe_for_a_single_cluster(monkeypatch):
+    calls = _counted_sparse_witness(monkeypatch)
+    report = classify(FiniteSample(Z, frozenset({0, 1, 2, 5})), SMALL)
+    assert len(calls) == 1
+    full, cluster = report["sparse"]["probes"]
+    assert (full.pop("x"), cluster.pop("x")) == ("full", "largest-cluster")
+    assert full == cluster
+
+
+def test_classify_probes_a_smaller_cluster_again(monkeypatch):
+    calls = _counted_sparse_witness(monkeypatch)
+    report = classify(FiniteSample(Z, frozenset({0, 1, 2, 100})), SMALL)
+    assert len(calls) == 2
+    assert calls[1].elements == {0, 1, 2}
+    assert [p["x"] for p in report["sparse"]["probes"]] == \
+        ["full", "largest-cluster"]
+
+
+def test_classify_does_not_validate_the_margin_ball(monkeypatch):
+    """Only the thin loop's word radii 0..f_max are validated; the word
+    ball of the margin radius (7 on free:2 at small, 4373 words) that
+    partitions the sample into clusters is not."""
+    group = FreeGroup(2)
+    validated = []
+    validate = FreeGroup.validate
+
+    def counted(self, el):
+        validated.append(el)
+        return validate(self, el)
+
+    monkeypatch.setattr(FreeGroup, "validate", counted)
+    classify(FiniteSample(group, frozenset({"a", "b", "ab"})), SMALL)
+    assert len(validated) <= sum(map(group.word_ball_size,
+                                     range(SMALL.f_max + 1)))
