@@ -10,9 +10,8 @@ from .classifiers import (IsolatedBallsReport, SparseReport, ThinReport,
 from .density import (DensityProfile, density_pwip_experiment,
                       upper_density_profile)
 from .geometry import (CellularityReport, PrecReport, Radius, ball,
-                       ball_sizes, cellularity_probe, chain_component,
-                       chain_partition, prec_mapping_check, restricted_ball,
-                       word_radius)
+                       cellularity_probe, chain_component, chain_partition,
+                       prec_mapping_check, restricted_ball, word_radius)
 from .groups import (BudgetExceededError, FiniteSample, FreeGroup, Group,
                      GroupError, IntGroup, LatticeGroup, XorGroup,
                      enumerate_window, group_from_spec, word_ball_elements)
@@ -28,8 +27,7 @@ __all__ = [
     "FiniteSample", "FreeGroup", "Group", "GroupError", "IntGroup",
     "IsolatedBallsReport", "LatticeGroup", "NestedChain", "PrecReport",
     "PwipWitness", "Radius", "Scale", "SetSpec", "SparseReport",
-    "ThinReport", "XorGroup", "ball", "ball_sizes",
-    "cellularity_probe",
+    "ThinReport", "XorGroup", "ball", "cellularity_probe",
     "chain_component", "chain_partition", "classify",
     "density_pwip_experiment", "detect_pwip", "enumerate_window",
     "extract_pwip_from_chain", "gen_cantor_geodesic", "gen_ip", "gen_pwip",

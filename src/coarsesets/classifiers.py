@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, islice
 
 from . import structures
-from .geometry import ball_sizes, word_radius
+from .geometry import word_radius
 from .groups import FiniteSample, GroupError, word_ball_elements
 
 
@@ -43,13 +43,16 @@ def thin_degree(sample, radius, scale):
     if not sample.elements:
         raise GroupError("thin degree needs a nonempty sample")
     group = sample.group
+    if radius.group != group:
+        raise GroupError("radius belongs to a different group")
     margin = scale.margin_for(group)
     interior = sample.interior(margin)
     if sample.window is not None and not interior:
         raise GroupError("window too small for the interior margin")
     outer = sample.outer
-    inner_sizes = ball_sizes(sample, interior, radius)
-    outer_sizes = ball_sizes(outer, outer.interior(margin), radius)
+    steps = radius.elements | {group.identity()}
+    inner_sizes = group.ball_sizes(sample, interior, steps)
+    outer_sizes = group.ball_sizes(outer, outer.interior(margin), steps)
     cap = max(list(inner_sizes.values()) + list(outer_sizes.values()))
     # every ball holds its center, so cap >= 1, and at n = cap both
     # exceptional sets are empty: the loop always returns
@@ -83,14 +86,13 @@ class SparseReport:
         }
 
 
-def _translate_intersection(group, F, elements):
-    out = None
-    for g in F:
-        translated = group.products((g,), elements)
-        out = translated if out is None else out & translated
-        if not out:
-            break
-    return out or set()
+def _quotient_intersection(group, key, elements):
+    """A n (n_{q in key} q.A), A the set ``elements``; A itself for the
+    empty key."""
+    out = elements
+    for q in key:
+        out = out.intersection(group.translates(q, elements))
+    return out
 
 
 def sparse_witness(sample, xset, scale):
@@ -102,16 +104,16 @@ def sparse_witness(sample, xset, scale):
     capped pool.
     Stability compares the intersection size against the sample
     regenerated in the enlarged window.  By left invariance,
-    |n_{g in F} gA| = |A n n_{g in F[1:]} (F[0]^-1.g)A|, so both sizes
+    n_{g in F} gA = F[0].(A n n_{g in F[1:]} (F[0]^-1.g)A), so both sizes
     depend only on the quotients F[0]^-1.g and are computed once per
-    quotient tuple; only the winning F builds its intersection.
+    quotient tuple; only the winning F translates its intersection.
     """
     group = sample.group
     if not xset.elements:
         raise GroupError("sparse witness needs a nonempty X")
     pool = xset.ordered[: max(scale.pool_cap // 16, 8)]
     samples = (sample.elements, sample.outer.elements)
-    sizes = {(): tuple(map(len, samples))}   # quotients -> (inner, outer) size
+    sizes = {}                  # quotients -> (inner, outer) size
     candidates = islice(chain.from_iterable(
         combinations(pool, k) for k in (1, 2, 3)), scale.pool_cap)
     for checked, F in enumerate(candidates, 1):
@@ -119,12 +121,13 @@ def sparse_witness(sample, xset, scale):
         key = tuple(group.translates(head, F[1:]))
         if key not in sizes:
             sizes[key] = tuple(
-                len(_translate_intersection(group, key, els) & els)
+                len(_quotient_intersection(group, key, els))
                 for els in samples)
         inner_n, outer_n = sizes[key]
         if inner_n != outer_n:
             continue
-        inner_i = _translate_intersection(group, F, sample.elements)
+        inner_i = list(group.translates(
+            F[0], _quotient_intersection(group, key, sample.elements)))
         return SparseReport("WITNESS_FOUND", F,
                             tuple(group.sorted(inner_i)),
                             len(inner_i), checked)

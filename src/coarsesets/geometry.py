@@ -1,11 +1,12 @@
 """Metric-free combinatorial primitives over group samples.
 
-Balls here follow the left-translation convention: the ball of radius F
-(a finite subset of the group) around g is F.g together with g itself.
-Chain components and mapping checks are built from that single
-primitive; verdicts that only compare ball sizes count them in bulk
-through ``ball_sizes``, and ``reach`` reads the least word ball holding
-a set off word lengths, both without building a ball.
+The ball of radius F (a finite subset of the group) around g is the
+right translate F.g together with g itself, built by ``Group.products``;
+left translates g.X go through ``Group.translates`` alone.  Mapping
+checks are built from ``ball``; verdicts that only compare ball sizes
+count them in bulk through ``Group.ball_sizes``, chain components come
+from ``Group.chain_component``, and ``reach`` reads the least word ball
+holding a set off word lengths, none of them building a ball.
 """
 
 from __future__ import annotations
@@ -33,12 +34,8 @@ class Radius:
         return all(g.inv(el) in self.elements for el in self.elements)
 
     def symmetrize(self):
-        if self.is_symmetric():
-            return self
-        g = self.group
-        elems = frozenset(self.elements) | frozenset(g.inv(el) for el in self.elements)
-        label = f"sym({self.label})" if self.label else None
-        return Radius(g, elems, label)
+        """The frozenset F u F^-1."""
+        return self.elements.union(map(self.group.inv, self.elements))
 
     def describe(self):
         return self.label or "{" + ",".join(
@@ -63,16 +60,6 @@ def restricted_ball(sample, g, radius):
     return ball(sample.group, g, radius) & sample.elements
 
 
-def ball_sizes(universe, points, radius):
-    """{y: |B_Y(y, F)|} for every y in ``points`` (which need not lie in
-    Y), Y the universe sample's set; no ball is built."""
-    group = universe.group
-    if radius.group != group:
-        raise GroupError("radius belongs to a different group")
-    steps = radius.elements | {group.identity()}
-    return group.ball_sizes(universe, points, steps)
-
-
 def reach(group, points, center):
     """The least r with every point in wordball(r).center: the largest
     norm of p.center^-1, or infinity when one lies in no word ball."""
@@ -87,13 +74,13 @@ def chain_component(sample, a, radius):
     if a not in sample.elements:
         raise GroupError("chain start element not in the sample")
     return sample.group.chain_component(sample.elements, a,
-                                        radius.symmetrize().elements)
+                                        radius.symmetrize())
 
 
 def chain_partition(sample, radius):
     """Chain components of the whole sample, as a list of frozensets
     ordered by their least elements."""
-    return sample.group.chain_partition(sample, radius.symmetrize().elements)
+    return sample.group.chain_partition(sample, radius.symmetrize())
 
 
 @dataclass(frozen=True)
@@ -104,7 +91,8 @@ class CellularityReport:
     offender: object | None
     interior_size: int
     searched_max_radius: int
-    symmetrized: bool
+    symmetrized: bool                 # the typed radius was already
+                                      # symmetric: the chain used it as is
 
     def to_json_dict(self, group):
         return {

@@ -146,19 +146,22 @@ class Group:
         return self.mul(a, self.inv(b))
 
     def translates(self, g, xs):
-        """An iterator over g * x for x in the collection ``xs``, in its
-        order: the bulk kernel that balls, ball sizes and chain components
-        translate by.  Families override it with one that skips the
-        per-element method call (z^d iterates ``xs`` once per
-        coordinate)."""
+        """An iterator over the left translate g * x for x in the
+        collection ``xs``, in its order: the one kernel for left
+        translates, which ball sizes, chain components, quotient-pool
+        probes and sparse intersections go through.  Families override it
+        with one that skips the per-element method call (z^d iterates
+        ``xs`` once per coordinate)."""
         return map(self.mul, repeat(g), xs)
 
     def products(self, lefts, rights):
         """The set {a * b : a in lefts, b in rights}, equal to the set of
-        ``mul(a, b)``.  ``rights`` is iterated once per left factor, so it
-        must be a collection.  Families override this with a bulk kernel:
-        z and z2sum skip the per-pair method call, and abelian z^d
-        translates the larger side."""
+        ``mul(a, b)``: the right translate X.g of balls and reach (one
+        right factor), and the quotient pool's build.  Both arguments
+        must be collections, as a family may iterate either side once
+        per element of the other.  Families override this with a bulk
+        kernel: z and z2sum skip the per-pair method call, and abelian
+        z^d translates the left side by each right factor."""
         mul = self.mul
         return {mul(a, b) for a in lefts for b in rights}
 
@@ -259,9 +262,6 @@ class Group:
                 covered |= comp
                 comps.append(comp)
         return comps
-
-    def __repr__(self):
-        return f"Group({self.spec!r})"
 
 
 @dataclass(frozen=True)
@@ -379,12 +379,10 @@ class LatticeGroup(Group):
                      for i, c in enumerate(g)])
 
     def products(self, lefts, rights):
-        # z^d is abelian: translate the larger side by each element of
-        # the smaller
-        if len(lefts) > len(rights):
-            lefts, rights = rights, lefts
+        # z^d is abelian, so a.b = b.a: translate the left side by each
+        # right factor
         return set(chain.from_iterable(
-            map(self.translates, lefts, repeat(rights))))
+            map(self.translates, rights, repeat(lefts))))
 
     def inv(self, a):
         return tuple(-x for x in a)

@@ -59,6 +59,13 @@ class SetSpec:
         """The integer parameter ``key``; ``default`` when absent."""
         return integer(self.params.get(key, default), f"recipe {key!r}")
 
+    def base(self, default):
+        """The ``base`` parameter of a powers set or ip rule, at least 2."""
+        b = self.integer("base", default)
+        if b < 2:
+            raise GroupError("base must be >= 2")
+        return b
+
     def periodic(self):
         """``(q, residues)`` of a periodic recipe: the modulus and the set
         of residues reduced mod q."""
@@ -99,9 +106,7 @@ class SetSpec:
         if kind == "powers":
             if not isinstance(group, IntGroup):
                 raise GroupError("powers recipes require the group z")
-            b = self.integer("base")
-            if b < 2:
-                raise GroupError("base must be >= 2")
+            b = self.base(None)
             out = set()
             v = 1
             while v <= window:
@@ -115,7 +120,7 @@ class SetSpec:
             elif rule == "powers":
                 if not isinstance(group, IntGroup):
                     raise GroupError("ip rule 'powers' requires the group z")
-                b = self.integer("base", 2)
+                b = self.base(2)
                 gens, total, v = [], 0, 1
                 while total + v <= window:
                     gens.append(v)

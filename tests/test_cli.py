@@ -494,6 +494,11 @@ def test_prec_map_window_not_an_integer(capsys, tmp_path):
                  "unknown ip rule: ''", id="empty-rule"),
     pytest.param(("--group", "z^2", "--kind", "cantor", "--levels", "2"),
                  "cantor recipes require the group z", id="cantor-group"),
+    # the ip rule refuses a base below 2 as the powers kind does
+    *(pytest.param(("--kind", "ip", "--rule", "powers", f"--base={b}",
+                    "--window", "100"),
+                   "base must be >= 2", id=f"ip-rule-base{b}")
+      for b in (-2, 1, 0, -1)),
 ])
 def test_badly_typed_recipe_flags(capsys, argv, message):
     code, report = invoke_json(capsys, "gen", *argv)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coarsesets.budgets import preset
-from coarsesets.geometry import (Radius, ball, ball_sizes, cellularity_probe,
+from coarsesets.classifiers import thin_degree
+from coarsesets.geometry import (Radius, ball, cellularity_probe,
                                  chain_component, chain_partition,
                                  prec_mapping_check, restricted_ball,
                                  word_radius)
@@ -76,13 +77,16 @@ def test_ball_sizes_match_restricted_balls(family, data):
     radius = Radius(group, data.draw(steps))
     points = data.draw(st.lists(elements, max_size=8))
     sample = FiniteSample(group, Y)
-    assert ball_sizes(sample, points, radius) == {
+    steps = radius.elements | {group.identity()}
+    assert group.ball_sizes(sample, points, steps) == {
         y: len(restricted_ball(sample, y, radius)) for y in points}
 
 
 def test_ball_sizes_rejects_a_radius_of_another_group():
-    with pytest.raises(GroupError):
-        ball_sizes(FiniteSample(Z, frozenset({0})), [0], word_radius(_FREE, 1))
+    # thin degree makes the check before it counts ball sizes
+    with pytest.raises(GroupError, match="radius belongs to a different group"):
+        thin_degree(FiniteSample(Z, frozenset({0})), word_radius(_FREE, 1),
+                    preset("small"))
 
 
 @settings(max_examples=150, deadline=None)
@@ -95,16 +99,27 @@ def test_z_chain_partition_matches_bfs(elems, steps):
     """The gap split on z gives the BFS partition, list order included."""
     sample = FiniteSample(Z, elems)
     radius = Radius(Z, steps)
-    K = radius.symmetrize().elements
+    K = radius.symmetrize()
     assert chain_partition(sample, radius) == Group.chain_partition(Z, sample, K)
 
 
-def test_radius_symmetrize():
-    r = zradius(1, 2)
-    assert not r.is_symmetric()
+# name -> (group, F, F u F^-1); every z2sum mask is its own inverse
+SYMMETRIZE_CASES = {
+    "z": (Z, {1, 2}, {-2, -1, 1, 2}),
+    "z^2": (_LATTICE, {(1, 0), (2, -1)}, {(1, 0), (-1, 0), (2, -1), (-2, 1)}),
+    "z2sum:5": (_XOR, {0b101, 0b10}, {0b101, 0b10}),
+    "free:2": (_FREE, {"ab"}, {"ab", "BA"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIZE_CASES))
+def test_radius_symmetrize(name):
+    group, F, expected = SYMMETRIZE_CASES[name]
+    r = Radius(group, frozenset(F))
+    assert r.is_symmetric() == (F == expected)
     s = r.symmetrize()
-    assert s.elements == frozenset({-2, -1, 1, 2})
-    assert s.is_symmetric()
+    assert s == frozenset(expected)
+    assert Radius(group, s).is_symmetric()
 
 
 def test_chain_component_examples():

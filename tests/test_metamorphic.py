@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from coarsesets.budgets import preset
 from coarsesets.classifiers import (isolated_balls_verdict, sparse_witness,
                                     thin_degree)
-from coarsesets.geometry import Radius, ball_sizes, word_radius
+from coarsesets.geometry import Radius, word_radius
 from coarsesets.groups import (FiniteSample, FreeGroup, IntGroup,
                                LatticeGroup, XorGroup, reduce_word)
 from coarsesets.structures import deepest_pwip
@@ -140,8 +140,10 @@ def test_right_translation_preserves_ball_sizes(name, data):
     radii = [word_radius(group, data.draw(st.integers(0, 3))),
              Radius(group, data.draw(st.frozensets(elements, max_size=8)))]
     for radius in radii:
-        sizes = ball_sizes(sample, points, radius)
-        moved = ball_sizes(shifted, [group.mul(p, h) for p in points], radius)
+        steps = radius.elements | {group.identity()}
+        sizes = group.ball_sizes(sample, points, steps)
+        moved = group.ball_sizes(shifted, [group.mul(p, h) for p in points],
+                                 steps)
         assert [sizes[p] for p in points] == \
             [moved[group.mul(p, h)] for p in points]
 
