@@ -259,3 +259,27 @@ def prec_direct(group, mapping, interior, radius_elements, r_max):
         if not failing:
             return "PREC", f"wordball:{r}", None
     return "NOT_PREC", None, failing[0]
+
+
+def thin_degree_by_loop(sample, radius_elements, margin):
+    """(degree, exceptional tuple, interior size) of the thin degree,
+    trying n = 1, 2, ... in turn: the least n whose exceptional sets
+    {y interior : |B_Y(y, F)| > n} in the sample and in ``sample.outer``
+    are equal.  Interiors are filtered one element at a time and ball
+    sizes counted from the built balls."""
+    group = sample.group
+
+    def sizes(s):
+        inside = [y for y in s.elements if s.window is None
+                  or group.window_interior(s.window, y, margin)]
+        return {y: len(brute_ball(group, y, radius_elements) & s.elements)
+                for y in inside}
+
+    inner, outer = sizes(sample), sizes(sample.outer)
+    n = 1
+    while True:
+        exc_in = {y for y, s in inner.items() if s > n}
+        if exc_in == {y for y, s in outer.items() if s > n}:
+            return (n, tuple(sorted(exc_in, key=group.sort_key)),
+                    len(inner))
+        n += 1

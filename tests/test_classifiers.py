@@ -12,7 +12,7 @@ from coarsesets.classifiers import (SparseReport, classify,
 from coarsesets.geometry import Radius, word_radius
 from coarsesets.groups import (FiniteSample, FreeGroup, GroupError, IntGroup,
                                LatticeGroup, XorGroup, enumerate_window,
-                               group_from_spec)
+                               group_from_spec, reduce_word)
 from coarsesets.recipes import SetSpec
 from coarsesets.structures import gen_cantor_geodesic
 
@@ -98,6 +98,70 @@ def test_thin_window_too_small():
     sample = resolved("window", window=16)
     with pytest.raises(GroupError):
         thin_degree(sample, word_radius(Z, 1), MEDIUM)
+
+
+class _Drawn:
+    """Window-scaled test recipe: ``inner`` in the window it was drawn
+    for, and ``inner | extra`` in every other window, so that the
+    enlarged window adds points next to shared interior points."""
+
+    def __init__(self, window, inner, extra):
+        self.window, self.inner, self.extra = window, inner, extra
+
+    def resolve(self, group, window):
+        elements = self.inner
+        if window != self.window:
+            elements = elements | self.extra
+        return FiniteSample(group, elements, window, self)
+
+
+# each family's elements in the window of an extent
+THIN_FAMILIES = {
+    "z": (Z, lambda n: st.integers(-n, n)),
+    "z^2": (LatticeGroup(2), lambda n: st.tuples(st.integers(-n, n),
+                                                 st.integers(-n, n))),
+    "z2sum:6": (XorGroup(6), lambda n: st.integers(0, 2**n - 1)),
+    "free:2": (FreeGroup(2), lambda n: st.text(alphabet="abAB", max_size=n)
+               .map(reduce_word)),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(THIN_FAMILIES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_thin_degree_matches_the_loop_oracle(spec, data):
+    group, points = THIN_FAMILIES[spec]
+    scale = data.draw(st.sampled_from([SMALL, MEDIUM]))
+    margin = scale.margin_for(group)
+    k = data.draw(st.integers(0, 4))
+    if isinstance(group, XorGroup):
+        # every mask is interior; a window under m coordinates lets the
+        # F-balls of shared points reach the enlarged window
+        window = near = 2 + k
+    else:
+        window, near = margin + k, k + 1
+    inner = data.draw(st.frozensets(st.one_of(points(near), points(window)),
+                                    max_size=25)) | {group.identity()}
+    # neighbours of inner points give shared points unequal ball sizes
+    steps = data.draw(st.lists(st.sampled_from(group.generators()),
+                               max_size=2))
+    extra = data.draw(st.frozensets(st.one_of(
+        points(near), points(group.enlarged_extent(window))), max_size=25)
+    ) | {group.mul(f, y) for f in steps for y in inner}
+    samples = [_Drawn(window, inner, extra).resolve(group, window),
+               FiniteSample(group, inner)]
+    if spec == "z":
+        # a window 64 wider, so that some powers are interior
+        samples += [resolved("powers", window=window + 64, base=2),
+                    resolved("periodic", window=window + 64, modulus=3,
+                             residues=["0", "1"])]
+    elif spec == "z2sum:6":
+        samples.append(resolved("wn", spec, window, support=2))
+    sample = data.draw(st.sampled_from(samples))
+    radius = word_radius(group, data.draw(st.integers(0, scale.f_max)))
+    rep = thin_degree(sample, radius, scale)
+    assert (rep.degree, rep.exceptional, rep.interior_size) == \
+        oracles.thin_degree_by_loop(sample, radius.elements, margin)
 
 
 def test_sparse_evens_with_shifted_pair():
