@@ -38,8 +38,15 @@ class ThinReport:
 
 
 def thin_degree(sample, radius, scale):
-    """Least n whose exceptional set (interior points with F-ball larger
-    than n) is identical across two nested windows."""
+    """Least n >= 1 whose exceptional set (interior points with F-ball
+    larger than n) is identical across two nested windows.
+
+    With a and b the F-ball sizes of a point in the two windows, n is at
+    least the size of every point interior to one window only, and lies
+    outside [min(a, b), max(a, b)) for every point interior to both with
+    a != b.  Sweeping those intervals in order of their lower ends moves
+    n past each one that holds it, and the exceptional set is built at
+    that n alone."""
     if not sample.elements:
         raise GroupError("thin degree needs a nonempty sample")
     group = sample.group
@@ -53,16 +60,19 @@ def thin_degree(sample, radius, scale):
     steps = radius.elements | {group.identity()}
     inner_sizes = group.ball_sizes(sample, interior, steps)
     outer_sizes = group.ball_sizes(outer, outer.interior(margin), steps)
-    cap = max(list(inner_sizes.values()) + list(outer_sizes.values()))
-    # every ball holds its center, so cap >= 1, and at n = cap both
-    # exceptional sets are empty: the loop always returns
-    for n in range(1, cap + 1):
-        exc_in = {y for y, s in inner_sizes.items() if s > n}
-        exc_out = {y for y, s in outer_sizes.items() if s > n}
-        if exc_in == exc_out:
-            return ThinReport(radius.describe(), n,
-                              tuple(group.sorted(exc_in)),
-                              len(inner_sizes), True)
+    n = max(chain((1,),
+                  (a for y, a in inner_sizes.items() if y not in outer_sizes),
+                  (b for y, b in outer_sizes.items() if y not in inner_sizes)))
+    gaps = sorted((min(a, b), max(a, b)) for y, a in inner_sizes.items()
+                  if (b := outer_sizes.get(y, a)) != a)
+    for lo, hi in gaps:
+        if lo > n:
+            break
+        n = max(n, hi)
+    # ball_sizes keeps the order of the interior
+    return ThinReport(radius.describe(), n,
+                      tuple(y for y, a in inner_sizes.items() if a > n),
+                      len(inner_sizes), True)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,11 @@ Elements are plain payloads (int, tuple of ints, int bit mask, str);
 all operations live on the Group object, which is immutable.  Everything
 that differs between families (arithmetic, encodings, word balls, the
 finite windows, budget ladders, the default window, the bulk translate,
-ball-size and chain-partition kernels) is a method or attribute of the
-family's Group subclass, so a new family is one new subclass.  A window
-is its integer extent, and the group answers every question about it.
+product, interior, ball-size and chain-partition kernels) is a method
+or attribute of the family's Group subclass, so a new family is one new
+subclass.  Every family has its own ``translates`` and ``products``, so
+none pays a ``mul`` call per element.  A window is its integer extent,
+and the group answers every question about it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import string
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, islice, product, repeat
+from itertools import chain, combinations, compress, islice, product, repeat
 from math import comb, gcd
 from operator import add, itemgetter, xor
 
@@ -121,6 +123,13 @@ class Group:
         # the word ball of radius 0 around el is {el}
         return self.window_interior(extent, el, 0)
 
+    def interior(self, extent, ordered, margin):
+        """The elements of the tuple ``ordered`` that ``window_interior``
+        keeps, as a tuple in their order, filtered in one pass (here by
+        the builtin ``norm`` of z and free:k)."""
+        return tuple(compress(ordered, map(
+            (extent - margin).__ge__, map(self.norm, ordered))))
+
     def enlarged_extent(self, extent):
         # Z-like windows grow by 4x so that generated sets whose blocks
         # grow geometrically (base 3) gain at least one new block
@@ -146,24 +155,26 @@ class Group:
         return self.mul(a, self.inv(b))
 
     def translates(self, g, xs):
-        """An iterator over the left translate g * x for x in the
-        collection ``xs``, in its order: the one kernel for left
+        """The left translates g * x for x in the collection ``xs``, in
+        its order, as a lazy iterable: the one kernel for left
         translates, which ball sizes, chain components, quotient-pool
-        probes and sparse intersections go through.  Families override it
-        with one that skips the per-element method call (z^d iterates
-        ``xs`` once per coordinate)."""
-        return map(self.mul, repeat(g), xs)
+        probes and sparse intersections go through.  Each family has
+        one that skips a per-element method call: z and z2sum map an
+        operator, z^d iterates ``xs`` once per coordinate, and free:k
+        concatenates unless the words cancel (an empty g returns ``xs``
+        itself)."""
+        raise NotImplementedError
 
     def products(self, lefts, rights):
         """The set {a * b : a in lefts, b in rights}, equal to the set of
         ``mul(a, b)``: the right translate X.g of balls and reach (one
         right factor), and the quotient pool's build.  Both arguments
         must be collections, as a family may iterate either side once
-        per element of the other.  Families override this with a bulk
-        kernel: z and z2sum skip the per-pair method call, and abelian
-        z^d translates the left side by each right factor."""
-        mul = self.mul
-        return {mul(a, b) for a in lefts for b in rights}
+        per element of the other.  Each family has a bulk kernel: z and
+        z2sum skip the per-pair method call, abelian z^d translates the
+        left side by each right factor, and free:k concatenates unless
+        a's last letter cancels b's first."""
+        raise NotImplementedError
 
     def quotient_pool(self, elements, cap):
         """The ``cap`` quotients y.x^-1 (x, y in ``elements``) with the
@@ -219,9 +230,10 @@ class Group:
         return None
 
     def ball_sizes(self, sample, points, steps):
-        """{y: |Y n steps.y|} for every y in the sequence ``points``, Y the
-        sample's set.  With fewer steps than Y, each step f translates all
-        the points at once and adds its hits f.y in Y to their counts.
+        """{y: |Y n steps.y|} for every y in the sequence ``points``, in
+        its order, Y the sample's set.  With fewer steps than Y, each step
+        f translates all the points at once and adds its hits f.y in Y to
+        their counts.
         Otherwise, as f.y lies in Y exactly when f lies in Y.y^-1, each
         size right-translates Y by one element."""
         Y = sample.elements
@@ -311,6 +323,12 @@ class IntGroup(Group):
         if run:
             comps.append(frozenset(run))
         return comps
+
+    def interior(self, extent, ordered, margin):
+        # the sorted sample's slice [-(extent - margin), extent - margin]
+        bound = extent - margin
+        return ordered[bisect_left(ordered, -bound):
+                       bisect_right(ordered, bound)]
 
     def inv(self, a):
         return -a
@@ -438,6 +456,10 @@ class LatticeGroup(Group):
     def window_interior(self, extent, el, margin):
         return max(map(abs, el)) <= extent - margin
 
+    def interior(self, extent, ordered, margin):
+        bound = extent - margin
+        return tuple(y for y in ordered if max(map(abs, y)) <= bound)
+
 
 @dataclass(frozen=True)
 class XorGroup(Group):
@@ -527,6 +549,9 @@ class XorGroup(Group):
     def window_interior(self, extent, el, margin):
         return True
 
+    def interior(self, extent, ordered, margin):
+        return ordered
+
     def enlarged_extent(self, extent):
         return extent + 2
 
@@ -582,6 +607,24 @@ class FreeGroup(Group):
             i += 1
         return a[:len(a) - i] + b[i:]
 
+    def translates(self, g, xs):
+        # g.x is g + x unless x starts with the inverse of g's last
+        # letter; a one-letter g then cancels that letter alone
+        if not g:
+            return xs
+        cancel = g[-1].swapcase()
+        if len(g) == 1:
+            return (x[1:] if x[:1] == cancel else g + x for x in xs)
+        mul = self.mul
+        return (mul(g, x) if x[:1] == cancel else g + x for x in xs)
+
+    def products(self, lefts, rights):
+        # a.b is a + b unless a ends with the inverse of b's first letter
+        mul = self.mul
+        rights = [(b, b[:1].swapcase()) for b in rights]
+        return {mul(a, b) if a[-1:] == cancel else a + b
+                for a in lefts for b, cancel in rights}
+
     def inv(self, a):
         return a[::-1].swapcase()
 
@@ -617,12 +660,14 @@ class FreeGroup(Group):
             (ch, ch.upper()) for ch in _LETTERS[:self.rank]))
 
     def word_ball(self, r):
+        gens = self.generators()
+        # the letters that may follow each last letter ("" for e)
+        follow = {last: [g for g in gens if g != last.swapcase()]
+                  for last in ("",) + gens}
         out = {""}
         frontier = [""]
-        gens = self.generators()
         for _ in range(r):
-            frontier = [w + g for w in frontier for g in gens
-                        if w[-1:] != g.swapcase()]
+            frontier = [w + g for w in frontier for g in follow[w[-1:]]]
             out.update(frontier)
         return frozenset(out)
 
@@ -720,13 +765,21 @@ class FiniteSample:
             pools[cap] = self.group.quotient_pool(self.ordered, cap)
         return pools[cap]
 
+    @cached_property
+    def _interiors(self):
+        return {}
+
     def interior(self, margin):
-        """Sorted elements whose word-radius ``margin`` ball fits the
-        window; all of them when there is no window."""
+        """The elements whose word-radius ``margin`` ball fits the window,
+        all of them when there is no window: a tuple in sort_key order,
+        ``Group.interior`` of the sample, built once per margin."""
         if self.window is None:
-            return list(self.ordered)
-        inside = self.group.window_interior
-        return [y for y in self.ordered if inside(self.window, y, margin)]
+            return self.ordered
+        interiors = self._interiors
+        if margin not in interiors:
+            interiors[margin] = self.group.interior(self.window, self.ordered,
+                                                    margin)
+        return interiors[margin]
 
     def __len__(self):
         return len(self.elements)

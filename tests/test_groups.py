@@ -1,11 +1,12 @@
 import re
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coarsesets.budgets import preset
 from coarsesets.groups import (BudgetExceededError, FiniteSample, FreeGroup,
-                               GroupError, IntGroup, LatticeGroup,
+                               Group, GroupError, IntGroup, LatticeGroup,
                                XorGroup, enumerate_window,
                                group_from_spec, reduce_word,
                                word_ball_elements)
@@ -58,6 +59,7 @@ def test_products_equal_pairwise_mul(group, elements, data):
     rights += [group.mul(group.inv(a), b) for a in lefts for b in rights[:3]]
     expected = {group.mul(a, b) for a in lefts for b in rights}
     assert group.products(lefts, rights) == expected
+    assert group.products(lefts, [group.identity()]) == set(lefts)
 
 
 def test_products_wide_masks_and_free_junctions():
@@ -66,14 +68,36 @@ def test_products_wide_masks_and_free_junctions():
     assert x.products(wide, [0b1000001]) == {0b1000000, 0b1, 0b1010100010100}
     f = FreeGroup(3)
     assert f.products(["abc"], ["CBA", "CBa", "Cb", "a"]) == {"", "aa", "abb", "abca"}
+    assert f.products(["", "C", "abc"], [""]) == {"", "C", "abc"}
+
+
+def test_every_family_has_bulk_kernels():
+    # every family has its own kernels, none a mul call per element
+    families = Group.__subclasses__()
+    assert {IntGroup, LatticeGroup, XorGroup, FreeGroup} <= set(families)
+    for family in families:
+        for name in ("translates", "products"):
+            assert getattr(family, name) is not getattr(Group, name), \
+                (family.__name__, name)
+
+
+def _free_words(rank):
+    """e, one letter, and reduced words of up to 6 letters."""
+    letters = FreeGroup(rank).generators()
+    return st.one_of(st.just(""), st.sampled_from(letters),
+                     st.text(alphabet="".join(letters), min_size=2,
+                             max_size=6).map(reduce_word))
 
 
 # every family, plus z^1 and z^3 (the translate kernel zips one map per
-# coordinate) and z2sum masks wider than m
+# coordinate), z2sum masks wider than m, and free:1 and free:3 with g
+# drawn from e, one letter and longer words (each a branch of the kernel)
 TRANSLATE_FAMILIES = groups_and_element_strategies() + [
     (LatticeGroup(1), st.tuples(st.integers(-1000, 1000))),
     (LatticeGroup(3), st.tuples(*[st.integers(-1000, 1000)] * 3)),
     (XorGroup(3), st.integers(0, 2**9 - 1)),
+    (FreeGroup(1), _free_words(1)),
+    (FreeGroup(3), _free_words(3)),
 ]
 
 
@@ -86,8 +110,10 @@ def test_translates_is_mul_in_order(group, elements, data):
     # g^-1 cancels g fully; on free:k, a prefix of g^-1 cancels it in part
     xs.append(group.inv(g))
     if isinstance(group, FreeGroup):
+        letters = group.generators()
         xs += [reduce_word(group.inv(g)[:k] + w)
-               for k in range(len(g) + 1) for w in ("", "a", "B")]
+               for k in range(len(g) + 1)
+               for w in ("", letters[0], letters[-1])]
     data.draw(st.randoms()).shuffle(xs)
     for part in ([], xs[:1], xs):
         assert list(group.translates(g, part)) == [group.mul(g, x)
@@ -299,6 +325,42 @@ def test_oversized_balls_and_windows_raise_before_building():
     assert len(word_ball_elements(XorGroup(4), 10**8)) == 16
     with pytest.raises(BudgetExceededError):
         word_ball_elements(XorGroup(10**8), 1)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_free_word_ball_is_every_reduced_word(rank):
+    group = FreeGroup(rank)
+    letters = group.generators()
+    for r in range(5):
+        words = {"".join(w) for n in range(r + 1)
+                 for w in product(letters, repeat=n)
+                 if all(a != b.swapcase() for a, b in zip(w, w[1:]))}
+        assert group.word_ball(r) == words
+        assert group.word_ball_size(r) == len(words)
+
+
+# every family, plus z^1, z^3, z2sum windows wider than m, free:1 and free:3
+INTERIOR_WINDOWS = FAMILY_WINDOWS + [
+    (LatticeGroup(1), 5), (LatticeGroup(3), 2), (XorGroup(3), 5),
+    (FreeGroup(1), 4), (FreeGroup(3), 2)]
+
+
+@pytest.mark.parametrize("group,extent", INTERIOR_WINDOWS,
+                         ids=lambda v: getattr(v, "spec", str(v)))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_interior_is_window_interior_in_order(group, extent, data):
+    window = sorted(group.window_elements(extent), key=group.sort_key)
+    elements = data.draw(st.frozensets(st.sampled_from(window)))
+    sample = FiniteSample(group, elements, extent)
+    for margin in range(extent + 2):
+        interior = sample.interior(margin)
+        assert interior == tuple(y for y in sample.ordered
+                                 if group.window_interior(extent, y, margin))
+        # built once per margin, and a tuple, so no caller can alter it
+        assert isinstance(interior, tuple)
+        assert sample.interior(margin) == interior
+    assert FiniteSample(group, elements).interior(1) == sample.ordered
 
 
 def test_free_window_is_word_ball():
