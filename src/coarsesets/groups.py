@@ -125,8 +125,8 @@ class Group:
 
     def interior(self, extent, ordered, margin):
         """The elements of the tuple ``ordered`` that ``window_interior``
-        keeps, as a tuple in their order, filtered in one pass (here by
-        the builtin ``norm`` of z and free:k)."""
+        keeps, as a tuple in their order, filtered in one pass; this
+        default maps ``norm``, the builtin ``len`` on free:k."""
         return tuple(compress(ordered, map(
             (extent - margin).__ge__, map(self.norm, ordered))))
 

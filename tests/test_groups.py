@@ -359,7 +359,7 @@ def test_interior_is_window_interior_in_order(group, extent, data):
                                  if group.window_interior(extent, y, margin))
         # built once per margin, and a tuple, so no caller can alter it
         assert isinstance(interior, tuple)
-        assert sample.interior(margin) == interior
+        assert sample.interior(margin) is interior
     assert FiniteSample(group, elements).interior(1) == sample.ordered
 
 
