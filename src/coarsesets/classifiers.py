@@ -20,6 +20,10 @@ from .groups import FiniteSample, GroupError, word_ball_elements
 
 @dataclass(frozen=True)
 class ThinReport:
+    """A thin degree; ``stable`` is always true, as the degree is by
+    construction an n at which the two windows' exceptional sets
+    agree."""
+
     f_label: str
     degree: int
     exceptional: tuple
@@ -46,7 +50,8 @@ def thin_degree(sample, radius, scale):
     outside [min(a, b), max(a, b)) for every point interior to both with
     a != b.  Sweeping those intervals in order of their lower ends moves
     n past each one that holds it, and the exceptional set is built at
-    that n alone."""
+    that n alone.  The sets agree at that n, so the report is always
+    ``stable``."""
     if not sample.elements:
         raise GroupError("thin degree needs a nonempty sample")
     group = sample.group
@@ -54,7 +59,7 @@ def thin_degree(sample, radius, scale):
         raise GroupError("radius belongs to a different group")
     margin = scale.margin_for(group)
     interior = sample.interior(margin)
-    if sample.window is not None and not interior:
+    if not interior:
         raise GroupError("window too small for the interior margin")
     outer = sample.outer
     steps = radius.elements | {group.identity()}

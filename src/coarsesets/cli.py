@@ -81,7 +81,7 @@ def _refuse_empty_interior(group, window, scale, message):
     """Raise ``message`` before any sample is built when no element of the
     window is interior at the scale's margin (none is unless e is)."""
     margin = scale.margin_for(group)
-    if not group.window_interior(window, group.identity(), margin):
+    if not group.interior(window, (group.identity(),), margin):
         raise GroupError(message)
 
 

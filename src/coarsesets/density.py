@@ -86,8 +86,7 @@ def density_pwip_experiment(recipe, depth, window_extent=None, scale=None):
     window = group.window(window_extent)
     sample = recipe.resolve(group, window)
     clipped = FiniteSample(
-        group, frozenset(x for x in sample.elements
-                         if group.window_contains(window, x)),
+        group, frozenset(group.interior(window, sample.ordered, 0)),
         window, recipe)
     profile = upper_density_profile(recipe, max(window_extent, 1000))
     achieved, witness = structures.deepest_pwip(clipped, depth, scale)

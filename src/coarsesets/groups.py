@@ -14,7 +14,9 @@ product, interior, ball-size and chain-partition kernels) is a method
 or attribute of the family's Group subclass, so a new family is one new
 subclass.  Every family has its own ``translates`` and ``products``, so
 none pays a ``mul`` call per element.  A window is its integer extent,
-and the group answers every question about it.
+and the group answers every question about it.  ``interior`` is its one
+membership rule: the elements whose margin word ball the window holds,
+margin 0 meaning the elements in the window.
 """
 
 from __future__ import annotations
@@ -114,19 +116,13 @@ class Group:
     def window_elements(self, extent):
         return self.word_ball(extent)
 
-    def window_interior(self, extent, el, margin):
-        # the word ball of radius n holds the margin ball around el iff
-        # |el| + margin <= n
-        return self.norm(el) <= extent - margin
-
-    def window_contains(self, extent, el):
-        # the word ball of radius 0 around el is {el}
-        return self.window_interior(extent, el, 0)
-
     def interior(self, extent, ordered, margin):
-        """The elements of the tuple ``ordered`` that ``window_interior``
-        keeps, as a tuple in their order, filtered in one pass; this
-        default maps ``norm``, the builtin ``len`` on free:k."""
+        """The elements of the sorted tuple ``ordered`` whose word ball of
+        radius ``margin`` the window of ``extent`` holds, as a tuple in
+        their order: the one window rule.  Margin 0 keeps the elements
+        in the window, and one element is a 1-tuple.  The word ball of
+        radius n holds the margin ball around el iff |el| + margin <= n;
+        this default maps ``norm``, the builtin ``len`` on free:k."""
         return tuple(compress(ordered, map(
             (extent - margin).__ge__, map(self.norm, ordered))))
 
@@ -149,10 +145,6 @@ class Group:
         if extent < 0:
             raise GroupError(f"window extent must be >= 0, got {extent}")
         return extent
-
-    def div(self, a, b):
-        """a * b^-1."""
-        return self.mul(a, self.inv(b))
 
     def translates(self, g, xs):
         """The left translates g * x for x in the collection ``xs``, in
@@ -453,9 +445,6 @@ class LatticeGroup(Group):
     def window_elements(self, extent):
         return product(range(-extent, extent + 1), repeat=self.d)
 
-    def window_interior(self, extent, el, margin):
-        return max(map(abs, el)) <= extent - margin
-
     def interior(self, extent, ordered, margin):
         bound = extent - margin
         return tuple(y for y in ordered if max(map(abs, y)) <= bound)
@@ -543,14 +532,11 @@ class XorGroup(Group):
     def window_elements(self, extent):
         return range(2 ** extent)
 
-    def window_contains(self, extent, el):
-        return el >> extent == 0
-
-    def window_interior(self, extent, el, margin):
-        return True
-
     def interior(self, extent, ordered, margin):
-        return ordered
+        # the masks of the window, at every margin: a margin ball spans
+        # the m declared coordinates, which a window of extent >= m holds
+        # (narrower windows keep the same rule)
+        return ordered[:bisect_left(ordered, 1 << extent)]
 
     def enlarged_extent(self, extent):
         return extent + 2

@@ -101,14 +101,6 @@ def cantor_offsets(levels):
     return offs
 
 
-def _no_one_digits(i):
-    while i:
-        if i % 3 == 1:
-            return False
-        i //= 3
-    return True
-
-
 def cantor_extent(levels):
     """Window extent of the ``levels``-level set: its last block plus
     ``CANTOR_WINDOW_MARGIN``."""
@@ -125,17 +117,16 @@ def cantor_levels_for_window(extent):
 
 def gen_cantor_geodesic(levels):
     """Union of geodesic blocks keeping only indices whose base-3 digits
-    avoid 1; block n contributes 2^n points."""
+    avoid 1; block n contributes 2^n points, the sums of digits 0 or 2
+    at places 0..n-1, built a place at a time."""
     extent = cantor_extent(levels)
-    group = IntGroup()
     offs = cantor_offsets(levels)
+    indices = [0]
     out = set()
     for n in range(1, levels + 1):
-        o = offs[n - 1]
-        for i in range(3 ** n + 1):
-            if _no_one_digits(i):
-                out.add(o + i)
-    return FiniteSample(group, frozenset(out), extent)
+        indices += [i + 2 * 3 ** (n - 1) for i in indices]
+        out.update(offs[n - 1] + i for i in indices)
+    return FiniteSample(IntGroup(), frozenset(out), extent)
 
 
 @dataclass(frozen=True)
@@ -214,7 +205,8 @@ def detect_pwip(sample, depth, scale=None):
         raise GroupError("depth must be >= 1")
     group = sample.group
     elems = sample.elements
-    if 2 ** depth - 1 > len(elems):
+    # 2^depth - 1 > |A|, without building 2^depth
+    if depth >= (len(elems) + 1).bit_length():
         return None              # not enough room for the distinct products
     scale = scale or budgets.preset("large")
     ordered = sample.ordered

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from coarsesets.groups import LatticeGroup, XorGroup
+from coarsesets.structures import cantor_offsets
+
 
 class DisjointSet:
     def __init__(self, items):
@@ -78,13 +81,13 @@ def pwip_exists_depth3(group, elements):
     if len(elems) < 7:
         return False
     eset = set(elems)
-    pairs = [(p2, p12, group.div(p12, p2))
+    pairs = [(p2, p12, group.mul(p12, group.inv(p2)))
              for p2 in elems for p12 in elems if p12 != p2]
     for p1 in elems:
         for p01 in elems:
             if p01 == p1:
                 continue
-            g0 = group.div(p01, p1)
+            g0 = group.mul(p01, group.inv(p1))
             for p2, p12, g1 in pairs:
                 if g1 == g0:
                     continue
@@ -145,7 +148,7 @@ def pwip_exists_by_levels(group, elements, depth):
             for t in elems:
                 if t == x:
                     continue
-                g = group.div(t, x)
+                g = group.mul(t, group.inv(x))
                 if g in gens:
                     continue
                 high = place((group.mul(group.mul(p, g), x) for p in old),
@@ -226,7 +229,7 @@ def least_word_ball_radius(group, points, center, r_max):
     in W.center, or None."""
     for r in range(1, r_max + 1):
         ball = bfs_word_ball(group, r)
-        if all(group.div(p, center) in ball for p in points):
+        if all(group.mul(p, group.inv(center)) in ball for p in points):
             return r
     return None
 
@@ -261,6 +264,35 @@ def prec_direct(group, mapping, interior, radius_elements, r_max):
     return "NOT_PREC", None, failing[0]
 
 
+def window_interior(group, extent, el, margin):
+    """Whether el is interior to the window of ``extent`` at ``margin``,
+    one element at a time: on z^d the box holds the margin ball iff
+    max|el_i| + margin <= extent; on z2sum every mask of the window is
+    interior; on z and free:k the window is the word ball of radius
+    extent, which holds the margin ball iff |el| + margin <= extent."""
+    if isinstance(group, LatticeGroup):
+        return max(abs(x) for x in el) + margin <= extent
+    if isinstance(group, XorGroup):
+        return el < 2 ** extent
+    return group.norm(el) + margin <= extent
+
+
+def cantor_by_digit_filter(levels):
+    """The elements of the ``levels``-level Cantor-geodesic set: every
+    index 0..3^n of block n, kept when no base-3 digit is 1."""
+
+    def no_one_digits(i):
+        while i:
+            if i % 3 == 1:
+                return False
+            i //= 3
+        return True
+
+    offs = cantor_offsets(levels)
+    return frozenset(offs[n - 1] + i for n in range(1, levels + 1)
+                     for i in range(3 ** n + 1) if no_one_digits(i))
+
+
 def thin_degree_by_loop(sample, radius_elements, margin):
     """(degree, exceptional tuple, interior size) of the thin degree,
     trying n = 1, 2, ... in turn: the least n whose exceptional sets
@@ -271,7 +303,7 @@ def thin_degree_by_loop(sample, radius_elements, margin):
 
     def sizes(s):
         inside = [y for y in s.elements if s.window is None
-                  or group.window_interior(s.window, y, margin)]
+                  or window_interior(group, s.window, y, margin)]
         return {y: len(brute_ball(group, y, radius_elements) & s.elements)
                 for y in inside}
 

@@ -102,6 +102,22 @@ def test_thin_subcommand(capsys):
     assert report["degree"] == "1"
 
 
+@pytest.mark.parametrize("group, elements, window", [
+    ("z", "0,1,99", "40"),
+    ("z2sum:4", "0000,1000,000001", "4"),
+], ids=["z", "z2sum"])
+def test_thin_drops_explicit_elements_outside_the_window(
+        capsys, group, elements, window):
+    # 99 and the mask of bit 5 lie outside their windows, so neither is
+    # interior, on z2sum as on every family
+    code, report = invoke_json(capsys, "thin", "--group", group, "--kind",
+                               "explicit", "--elements", elements,
+                               "--window", window, "--radius", "wordball:1",
+                               "--budget", "small")
+    assert code == 0
+    assert report["interior_size"] == "2"
+
+
 def test_sparse_subcommand(capsys):
     code, report = invoke_json(capsys, "sparse", "--group", "z", "--kind",
                                "window", "--window", "128")

@@ -12,6 +12,8 @@ from coarsesets.groups import (BudgetExceededError, FiniteSample, FreeGroup,
                                word_ball_elements)
 from coarsesets.recipes import SetSpec
 
+import oracles
+
 
 def groups_and_element_strategies():
     free = FreeGroup(2)
@@ -201,8 +203,8 @@ def test_window_sizes_and_membership():
     assert w == 5
     assert z.window_size(w) == 11
     assert sorted(z.window_elements(w)) == list(range(-5, 6))
-    assert z.window_contains(w, 5) and not z.window_contains(w, 6)
-    assert z.window_interior(w, 2, 3) and not z.window_interior(w, 3, 3)
+    assert z.interior(w, (5,), 0) and not z.interior(w, (6,), 0)
+    assert z.interior(w, (2,), 3) and not z.interior(w, (3,), 3)
 
     l2 = LatticeGroup(2)
     assert l2.window_size(2) == 25
@@ -270,32 +272,39 @@ FAMILY_WINDOWS = [(IntGroup(), 7), (LatticeGroup(2), 3), (XorGroup(6), 4),
 def test_window_protocol(group, extent):
     elements = list(group.window_elements(extent))
     assert group.window_size(extent) == len(set(elements)) == len(elements)
-    assert all(group.window_contains(extent, el) for el in elements)
-    assert all(group.window_interior(extent, el, 0) for el in elements)
+    assert all(group.interior(extent, (el,), 0) for el in elements)
     outer = group.enlarged_extent(extent)
     assert group.window_size(outer) > group.window_size(extent)
     outer_elements = set(group.window_elements(outer))
     assert set(elements) <= outer_elements
-    # membership picks out exactly the inner window
+    # membership picks out exactly the inner window, one element at a
+    # time and in bulk
     assert {el for el in outer_elements
-            if group.window_contains(extent, el)} == set(elements)
+            if group.interior(extent, (el,), 0)} == set(elements)
+    outer_ordered = tuple(group.sorted(outer_elements))
+    assert set(group.interior(extent, outer_ordered, 0)) == set(elements)
 
 
-# z2sum is left out: its rule is that every mask of the window is interior
+# z2sum windows of at least m coordinates only: narrower ones keep every
+# mask of the window interior, which is no margin-ball rule
+DEFINITION_EXTENTS = {XorGroup(3): range(3, 6)}
+
+
 @pytest.mark.parametrize("group", [IntGroup(), LatticeGroup(2),
                                    LatticeGroup(3), FreeGroup(1),
-                                   FreeGroup(2)], ids=lambda g: g.spec)
+                                   FreeGroup(2), XorGroup(3)],
+                         ids=lambda g: g.spec)
 def test_window_interior_is_its_definition(group):
     # el is interior at a margin exactly when the window holds every
     # point of the margin word ball around it.  The window is its element
-    # set, not window_contains, which is window_interior at margin 0.
-    for extent in range(5):
+    # set, not interior, which is the window at margin 0.
+    for extent in DEFINITION_EXTENTS.get(group, range(5)):
         window = set(group.window_elements(extent))
         for margin in range(extent + 1):
             ball = group.word_ball(margin)
             for el in window:
                 fits = {group.mul(f, el) for f in ball} <= window
-                assert group.window_interior(extent, el, margin) == fits
+                assert bool(group.interior(extent, (el,), margin)) == fits
 
 
 @pytest.mark.parametrize("group,extent", FAMILY_WINDOWS,
@@ -355,8 +364,9 @@ def test_interior_is_window_interior_in_order(group, extent, data):
     sample = FiniteSample(group, elements, extent)
     for margin in range(extent + 2):
         interior = sample.interior(margin)
-        assert interior == tuple(y for y in sample.ordered
-                                 if group.window_interior(extent, y, margin))
+        assert interior == tuple(
+            y for y in sample.ordered
+            if oracles.window_interior(group, extent, y, margin))
         # built once per margin, and a tuple, so no caller can alter it
         assert isinstance(interior, tuple)
         assert sample.interior(margin) is interior
@@ -460,7 +470,7 @@ def test_quotient_pool_matches_brute_force(name, data):
                                 unique=True))
     cap = data.draw(st.integers(1, 3) | st.integers(4, 3000))
     ordered = sorted(sample, key=group.sort_key)
-    quotients = {group.div(y, x) for x in ordered for y in ordered}
+    quotients = {group.mul(y, group.inv(x)) for x in ordered for y in ordered}
     expected = _norm_order(group, quotients)
     assert group.norm_sorted(quotients) == expected
     assert group.norm_sorted(quotients, cap) == expected[:cap]
@@ -479,7 +489,7 @@ def test_quotient_pool_of_one_element_is_the_identity(group, extent):
                          ids=lambda v: getattr(v, "spec", str(v)))
 def test_quotient_pool_paths(group, extent):
     window = sorted(group.window_elements(extent), key=group.sort_key)
-    quotients = {group.div(y, x) for x in window for y in window}
+    quotients = {group.mul(y, group.inv(x)) for x in window for y in window}
     # a window fills its small word balls: the pool comes from them
     pool = group._ball_quotients(window, 4)
     assert pool == _norm_order(group, quotients)[:4]

@@ -37,7 +37,7 @@ class Truncation:
 
     def resolve(self, group, window):
         inside = frozenset(x for x in self.pool
-                           if group.window_contains(window, x))
+                           if group.interior(window, (x,), 0))
         return FiniteSample(group, inside, window, self)
 
 

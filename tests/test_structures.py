@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import random
 import signal
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -128,6 +129,12 @@ def test_cantor_geodesic_block_sizes():
         assert len(block) == 2**n
 
 
+def test_cantor_geodesic_matches_the_digit_filter():
+    for levels in range(1, 11):
+        assert gen_cantor_geodesic(levels).elements == \
+            oracles.cantor_by_digit_filter(levels)
+
+
 @pytest.mark.parametrize("group,extent,cap,truncated", [
     (Z, 300, 512, True),
     (Z, 300, 4096, False),
@@ -140,7 +147,8 @@ def test_cantor_geodesic_block_sizes():
 ], ids=lambda v: getattr(v, "spec", str(v)))
 def test_quotient_pool_matches_pairwise_quotients(group, extent, cap, truncated):
     elements = sorted(group.window_elements(extent), key=group.sort_key)
-    full = sorted({group.div(y, x) for x in elements for y in elements},
+    full = sorted({group.mul(y, group.inv(x))
+                   for x in elements for y in elements},
                   key=lambda g: (group.norm(g), group.sort_key(g)))
     assert (len(full) > cap) == truncated
     assert group.quotient_pool(elements, cap) == full[:cap]
@@ -169,6 +177,19 @@ def test_detect_pwip_too_small():
     assert detect_pwip(FiniteSample(Z, frozenset({0, 5})), 2) is None
     with pytest.raises(GroupError):
         detect_pwip(FiniteSample(Z, frozenset({0})), 0)
+
+
+def test_detect_pwip_room_check_builds_no_power_of_two():
+    # 2^depth - 1 distinct products cannot fit 11 elements; the check must
+    # not build the 10^8-bit integer 2^depth to say so
+    window = FiniteSample(Z, frozenset(range(-5, 6)), 5)
+    tracemalloc.start()
+    try:
+        assert detect_pwip(window, 10**8) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_detect_pwip_depth_monotone():
@@ -248,7 +269,8 @@ def test_chain_step_matches_brute_force(family, data):
                                          unique=True)))
     ordered = sorted(elems, key=group.sort_key)
     # generators among the quotients keep the chain nonempty for a while
-    quotients = sorted({group.div(y, x) for x in ordered for y in ordered},
+    quotients = sorted({group.mul(y, group.inv(x))
+                        for x in ordered for y in ordered},
                        key=group.sort_key)
     gens = data.draw(st.lists(st.sampled_from(quotients), max_size=4,
                               unique=True))
@@ -509,8 +531,9 @@ def test_pool_partners_match_the_filtered_scan(family, data):
     partners = structures._pool_partners(group, pool, cands)
     for xj in cands:
         # the search skips t with t.xj^-1 outside the pool either way
-        assert [t for t in partners(xj) if group.div(t, xj) in pool] == \
-            [t for t in cands if group.div(t, xj) in pool]
+        inv = group.inv(xj)
+        assert [t for t in partners(xj) if group.mul(t, inv) in pool] == \
+            [t for t in cands if group.mul(t, inv) in pool]
 
 
 def test_classify_and_density_build_one_pool_per_sample(monkeypatch):
