@@ -535,8 +535,9 @@ class XorGroup(Group):
     def interior(self, extent, ordered, margin):
         # the masks of the window, at every margin: a margin ball spans
         # the m declared coordinates, which a window of extent >= m holds
-        # (narrower windows keep the same rule)
-        return ordered[:bisect_left(ordered, 1 << extent)]
+        # (narrower windows keep the same rule); sorted masks have
+        # non-decreasing bit lengths, so no 2^extent is built
+        return ordered[:bisect_right(ordered, extent, key=int.bit_length)]
 
     def enlarged_extent(self, extent):
         return extent + 2

@@ -9,9 +9,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from coarsesets.groups import LatticeGroup, XorGroup
-from coarsesets.structures import cantor_offsets
-
 
 class DisjointSet:
     def __init__(self, items):
@@ -270,10 +267,10 @@ def window_interior(group, extent, el, margin):
     max|el_i| + margin <= extent; on z2sum every mask of the window is
     interior; on z and free:k the window is the word ball of radius
     extent, which holds the margin ball iff |el| + margin <= extent."""
-    if isinstance(group, LatticeGroup):
+    if group.spec.startswith("z^"):
         return max(abs(x) for x in el) + margin <= extent
-    if isinstance(group, XorGroup):
-        return el < 2 ** extent
+    if group.spec.startswith("z2sum:"):
+        return el >> extent == 0
     return group.norm(el) + margin <= extent
 
 
@@ -288,9 +285,12 @@ def cantor_by_digit_filter(levels):
             i //= 3
         return True
 
-    offs = cantor_offsets(levels)
-    return frozenset(offs[n - 1] + i for n in range(1, levels + 1)
-                     for i in range(3 ** n + 1) if no_one_digits(i))
+    out, start = set(), 0
+    for n in range(1, levels + 1):
+        out.update(start + i for i in range(3 ** n + 1) if no_one_digits(i))
+        # block n spans 3^n and is followed by a gap of 2 * 3^(n+1)
+        start += 3 ** n + 2 * 3 ** (n + 1)
+    return frozenset(out)
 
 
 def thin_degree_by_loop(sample, radius_elements, margin):

@@ -155,7 +155,7 @@ def test_07_cantor_geodesic_behavior():
     small = gen_cantor_geodesic(4)
     margin = MEDIUM.margin_for(Z)
     interior = [y for y in small.ordered
-                if Z.interior(small.window, (y,), margin)]
+                if oracles.window_interior(Z, small.window, y, margin)]
     direct = oracles.isolated_balls_direct(
         Z, small.elements, interior, *oracles.word_ball_families(Z, MEDIUM))
     assert direct == "NO_ISOLATED_BALLS_AT_SCALE"
@@ -175,7 +175,7 @@ def test_08_isolated_balls_oracle():
         rep = isolated_balls_verdict(sample, MEDIUM)
         margin = MEDIUM.margin_for(Z)
         interior = [y for y in sample.ordered
-                    if Z.interior(extent, (y,), margin)]
+                    if oracles.window_interior(Z, extent, y, margin)]
         direct = oracles.isolated_balls_direct(
             Z, elems, interior, *oracles.word_ball_families(Z, MEDIUM))
         assert rep.verdict == direct

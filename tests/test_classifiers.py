@@ -365,7 +365,8 @@ def _direct_isolated_oracle(sample, scale):
     margin = scale.margin_for(group)
     window = sample.window
     interior = [y for y in sample.ordered
-                if window is None or group.interior(window, (y,), margin)]
+                if window is None
+                or oracles.window_interior(group, window, y, margin)]
     return oracles.isolated_balls_direct(
         group, sample.elements, interior,
         *oracles.word_ball_families(group, scale))

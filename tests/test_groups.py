@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -371,6 +372,21 @@ def test_interior_is_window_interior_in_order(group, extent, data):
         assert isinstance(interior, tuple)
         assert sample.interior(margin) is interior
     assert FiniteSample(group, elements).interior(1) == sample.ordered
+
+
+def test_z2sum_interior_builds_no_power_of_two():
+    # the masks of the window of extent e are those of bit length <= e;
+    # the rule must not build the 10^8-bit integer 2^e to say so
+    g = XorGroup(4)
+    assert g.interior(3, (0, 1, 7, 8, 9), 0) == (0, 1, 7)
+    masks = (0, 5, 1 << 40)
+    tracemalloc.start()
+    try:
+        assert g.interior(10**8, masks, 2) == masks
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_free_window_is_word_ball():
