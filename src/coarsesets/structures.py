@@ -12,6 +12,7 @@ set's own elements and their quotients.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import compress
 
@@ -188,9 +189,38 @@ def _pool_partners(group, pool, cands):
 def _chain_step(group, cands, members, g):
     """The next chain set A & g^-1.A of the candidate list A, whose
     elements are the set ``members``: the x in A with g.x in A, in the
-    order of A, in one pass of the family's ``translates`` kernel."""
+    order of A, in one pass of the family's ``translates`` kernel.  A
+    search node makes at most |A| of these passes (``_chain_sets``)."""
     return list(compress(cands, map(members.__contains__,
                                     group.translates(g, cands))))
+
+
+def _chain_sets(group, cands, pool):
+    """g -> ``_chain_step(group, cands, frozenset(cands), g)`` for g in
+    the set ``pool``.  The first |A| calls scan A, one pass each; the
+    next builds the table of every pair once, at about the cost of those
+    |A| passes: for each x in A, in order, x joins the list of every pool
+    element g with g.x in A, that is g in A.x^-1.  Later calls read the
+    table.  So a node that hits within a few steps builds none, and one
+    that runs to exhaustion pays at most about twice the table's cost."""
+    members = frozenset(cands)
+    scans = len(cands)
+    table = None
+
+    def chain_set(g):
+        nonlocal scans, table
+        if scans:
+            scans -= 1
+            return _chain_step(group, cands, members, g)
+        if table is None:
+            table = defaultdict(list)
+            for x in cands:
+                for h in pool.intersection(
+                        group.products(cands, (group.inv(x),))):
+                    table[h].append(x)
+        return table.get(g, [])
+
+    return chain_set
 
 
 def detect_pwip(sample, depth, scale=None):
@@ -234,13 +264,16 @@ def detect_pwip(sample, depth, scale=None):
     # and is picked last.  Both x and t come from ``cands``, the chain
     # set A_j of the sample elements whose prefix translates all lie in
     # the sample; the generator g picked at stage j shrinks it to
-    # A_{j+1} = A_j & g^-1.A_j, in one pass over A_j against the member
-    # set built once per node.  Every element left out would fail
-    # ``translate``, so the search takes the same branches in the same
-    # order as over the whole sample.  A child that still has to pick
-    # needs 3 elements of A_{j+1}: its x and t differ, and both differ
-    # from this stage's x, which lies in A_{j+1} (g.x = t is in A_j)
-    # and is already taken.  So a smaller A_{j+1} is skipped unsearched.
+    # A_{j+1} = A_j & g^-1.A_j through the node's ``chain_set``, which
+    # scans A_j once per g for the node's first |A_j| steps and then
+    # reads a pair table built once.  The last picking stage skips the
+    # step: the final stage reads no chain set.  Every element left out
+    # would fail ``translate``, so the search takes the same branches in
+    # the same order as over the whole sample.  A child that still has
+    # to pick needs 3 elements of A_{j+1}: its x and t differ, and both
+    # differ from this stage's x, which lies in A_{j+1} (g.x = t is in
+    # A_j) and is already taken.  So a smaller A_{j+1} is skipped
+    # unsearched.
     def extend(stage, gens, found, cands):
         taken = set(found)
         if stage == depth:
@@ -248,7 +281,8 @@ def detect_pwip(sample, depth, scale=None):
             return gens, [next(x for x in ordered if x not in taken)] + found
         prefix = _subset_products(group, gens)
         partners = _pool_partners(group, pool_list, cands)
-        members = frozenset(cands)
+        deeper = stage + 1 < depth
+        chain_set = _chain_sets(group, cands, pool) if deeper else None
         for xj in cands:
             part1 = translate(prefix, xj, taken)
             if part1 is None:
@@ -262,9 +296,11 @@ def detect_pwip(sample, depth, scale=None):
                 part2 = translate(prefix, t, taken1)
                 if part2 is None:
                     continue
-                nxt = _chain_step(group, cands, members, gj)
-                if stage + 1 < depth and len(nxt) < 3:
-                    continue
+                nxt = None
+                if deeper:
+                    nxt = chain_set(gj)
+                    if len(nxt) < 3:
+                        continue
                 hit = extend(stage + 1, gens + [gj], found + part1 + part2,
                              nxt)
                 if hit is not None:

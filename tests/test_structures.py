@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import random
 import signal
 import tracemalloc
@@ -534,6 +535,133 @@ def test_pool_partners_match_the_filtered_scan(family, data):
         inv = group.inv(xj)
         assert [t for t in partners(xj) if group.mul(t, inv) in pool] == \
             [t for t in cands if group.mul(t, inv) in pool]
+
+
+def _scan_only(group, cands, pool):
+    """``_chain_sets`` without its pair table: one scan per call."""
+    return functools.partial(_chain_step, group, cands, frozenset(cands))
+
+
+def _counting_chain_sets(nodes):
+    """A ``_chain_sets`` that appends [len(cands), calls] per node."""
+    build = structures._chain_sets
+
+    def counted(group, cands, pool):
+        node = [len(cands), 0]
+        nodes.append(node)
+        chain_set = build(group, cands, pool)
+
+        def call(g):
+            node[1] += 1
+            return chain_set(g)
+        return call
+    return counted
+
+
+@pytest.mark.parametrize("family", sorted(CHAIN_UNIVERSES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_chain_sets_match_the_chain_step(family, data):
+    group, universe = CHAIN_UNIVERSES[family]
+    cands = sorted(data.draw(st.lists(st.sampled_from(universe), min_size=1,
+                                      max_size=15, unique=True)),
+                   key=group.sort_key)
+    quotients = sorted({group.mul(y, group.inv(x))
+                        for x in cands for y in cands}, key=group.sort_key)
+    pool = data.draw(st.lists(st.sampled_from(quotients + universe),
+                              min_size=1, max_size=20, unique=True))
+    chain_set = structures._chain_sets(group, cands, frozenset(pool))
+    members = frozenset(cands)
+    # the first len(cands) calls scan, the rest read the table; the last
+    # pass over the pool falls wholly after the switch
+    for g in pool * (len(cands) + 1):
+        assert chain_set(g) == _chain_step(group, cands, members, g)
+
+
+@pytest.mark.parametrize("family", sorted(CHAIN_UNIVERSES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_chain_table_matches_the_scans(family, data):
+    group, universe = CHAIN_UNIVERSES[family]
+    elems = frozenset(data.draw(st.lists(st.sampled_from(universe),
+                                         min_size=3, max_size=15,
+                                         unique=True)))
+    scale = dataclasses.replace(preset("small"),
+                                pool_cap=data.draw(st.sampled_from([8, 64])))
+    depth = data.draw(st.integers(2, 4))
+    got = detect_pwip(FiniteSample(group, elems), depth, scale)
+    with mock.patch.object(structures, "_chain_sets", _scan_only):
+        scanned = detect_pwip(FiniteSample(group, elems), depth, scale)
+    assert got == scanned
+
+
+def test_chain_table_then_a_witness():
+    # the top node runs past its 200 scans, builds the table, and the
+    # search then finds a witness through it
+    sample = FiniteSample(Z, frozenset(random.Random(101).sample(
+        range(20001), 200)))
+    nodes = []
+    with mock.patch.object(structures, "_chain_sets",
+                           _counting_chain_sets(nodes)):
+        got = detect_pwip(sample, 3, preset("medium"))
+    assert nodes[0][0] == 200 and nodes[0][1] > 200
+    assert got is not None and got.validate(sample.elements)
+    with mock.patch.object(structures, "_chain_sets", _scan_only):
+        assert detect_pwip(sample, 3, preset("medium")) == got
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_last_stage_takes_no_chain_step(depth):
+    sample = FiniteSample(Z, frozenset(range(0, 40, 3)) | {1, 5, 11})
+    nodes, searched = [], []
+    partners = structures._pool_partners
+
+    def counted_partners(group, pool, cands):
+        searched.append(len(cands))
+        return partners(group, pool, cands)
+
+    with mock.patch.object(structures, "_chain_sets",
+                           _counting_chain_sets(nodes)), \
+            mock.patch.object(structures, "_pool_partners", counted_partners):
+        detect_pwip(sample, depth, preset("medium"))
+    if depth < 3:
+        assert nodes == []
+    else:
+        # the top node takes chain steps; the stage-2 nodes, which pick
+        # last, search without a chain set
+        assert len(nodes) == 1 and nodes[0][0] == len(sample)
+        assert nodes[0][1] > 0 and any(n < len(sample) for n in searched)
+
+
+def _distinct_quotients_z(rng, n, bound):
+    """n integers of [-bound, bound] whose differences x - y, x != y,
+    are all distinct."""
+    out, diffs = [], set()
+    while len(out) < n:
+        x = rng.randint(-bound, bound)
+        new = {d for y in out for d in (x - y, y - x)}
+        if x not in out and len(new) == 2 * len(out) and not new & diffs:
+            out.append(x)
+            diffs |= new
+    return out
+
+
+def test_chain_scans_per_node_are_bounded():
+    sample = FiniteSample(Z, frozenset(_distinct_quotients_z(
+        random.Random(5), 60, 9 * 10**5)))
+    scans = {}
+    step = structures._chain_step
+
+    def counted(group, cands, members, g):
+        # members is built once per node; holding it keeps its id unique
+        scans.setdefault(id(members), [members, len(cands), 0])[2] += 1
+        return step(group, cands, members, g)
+
+    with mock.patch.object(structures, "_chain_step", counted):
+        assert detect_pwip(sample, 4, preset("large")) is None
+    assert scans and all(n <= size for _, size, n in scans.values())
+    # the top node runs out its scans and switches to the table
+    assert max(n for _, _, n in scans.values()) == len(sample)
 
 
 def test_classify_and_density_build_one_pool_per_sample(monkeypatch):
