@@ -10,10 +10,11 @@ Elements are plain payloads (int, tuple of ints, int bit mask, str);
 all operations live on the Group object, which is immutable.  Everything
 that differs between families (arithmetic, encodings, word balls, the
 finite windows, budget ladders, the default window, the bulk translate,
-product, interior, ball-size and chain-partition kernels) is a method
-or attribute of the family's Group subclass, so a new family is one new
-subclass.  Every family has its own ``translates`` and ``products``, so
-none pays a ``mul`` call per element.  A window is its integer extent,
+product, interior, ball-size and chain-partition kernels, and z's
+quotient pool read from a bit mask) is a method or attribute of the
+family's Group subclass, so a new family is one new subclass.  Every
+family has its own ``translates`` and ``products``, so none pays a
+``mul`` call per element.  A window is its integer extent,
 and the group answers every question about it.  ``interior`` is its one
 membership rule: the elements whose margin word ball the window holds,
 margin 0 meaning the elements in the window.
@@ -24,10 +25,10 @@ from __future__ import annotations
 import string
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, combinations, compress, islice, product, repeat
 from math import comb, gcd
-from operator import add, itemgetter, xor
+from operator import add, itemgetter, neg, or_, xor
 
 WINDOW_CAP = 10**7
 
@@ -162,8 +163,8 @@ class Group:
         ``mul(a, b)``: the right translate X.g of balls and reach (one
         right factor), and the quotient pool's build.  Both arguments
         must be collections, as a family may iterate either side once
-        per element of the other.  Each family has a bulk kernel: z and
-        z2sum skip the per-pair method call, abelian z^d translates the
+        per element of the other.  Each family has a bulk kernel: z2sum
+        skips the per-pair method call, abelian z and z^d translate the
         left side by each right factor, and free:k concatenates unless
         a's last letter cancels b's first."""
         raise NotImplementedError
@@ -171,7 +172,12 @@ class Group:
     def quotient_pool(self, elements, cap):
         """The ``cap`` quotients y.x^-1 (x, y in ``elements``) with the
         smallest (norm, sort_key), in that order; ``elements`` is a
-        sequence."""
+        sequence.  This default reads them from the word balls
+        (``_ball_quotients``), else sorts the full build of all n^2
+        products.  z overrides it when the sample's span max - min is at
+        most n^2: the quotients y - x >= 0 are the set bits of one OR of
+        n shifts of the sample's bit mask, O(n * span / 64) word
+        operations, and wider samples take this default."""
         pool = self._ball_quotients(elements, cap)
         if pool is None:
             pool = self.norm_sorted(
@@ -286,7 +292,36 @@ class IntGroup(Group):
         return map(add, repeat(g), xs)
 
     def products(self, lefts, rights):
-        return {a + b for a in lefts for b in rights}
+        # z (and z^d, which shares this kernel) is abelian, so a.b = b.a:
+        # translate the left side by each right factor
+        return set(chain.from_iterable(
+            map(self.translates, rights, repeat(lefts))))
+
+    def quotient_pool(self, elements, cap):
+        # a span of at most n^2, so the mask has no more bits than the full
+        # build has pairs: bit o of ``mask`` marks lo + o in the sample,
+        # and bit d of ``diffs`` is set exactly when some y - x = d >= 0,
+        # so its low set bits 0, d1, d2, ... give the pool 0, -d1, d1, -d2,
+        # d2, ... in norm_sorted order.  O(n * span / 64) word operations
+        # in C instead of n^2 set inserts and a sort
+        if not elements:
+            return []
+        lo = min(elements)
+        offsets = [a - lo for a in elements]
+        span = max(offsets)
+        if span > len(elements) ** 2:
+            return super().quotient_pool(elements, cap)
+        digits = bytearray(b"0") * (span + 1)      # most significant first
+        for o in offsets:
+            digits[span - o] = ord("1")
+        mask = int(digits, 2)
+        diffs = reduce(or_, map(mask.__rshift__, offsets))
+        bits = format(diffs, "b")
+        top = len(bits) - 1                         # bits[top - d] is bit d
+        ds, i = [], top
+        while len(ds) < cap // 2 and (i := bits.rfind("1", 0, i)) >= 0:
+            ds.append(top - i)
+        return [0, *chain.from_iterable(zip(map(neg, ds), ds))][:cap]
 
     def ball_sizes(self, sample, points, steps):
         # steps forming an interval [lo, hi] (every word ball): count the
@@ -388,11 +423,7 @@ class LatticeGroup(Group):
         return zip(*[map(add, map(itemgetter(i), xs), repeat(c))
                      for i, c in enumerate(g)])
 
-    def products(self, lefts, rights):
-        # z^d is abelian, so a.b = b.a: translate the left side by each
-        # right factor
-        return set(chain.from_iterable(
-            map(self.translates, rights, repeat(lefts))))
+    products = IntGroup.products
 
     def inv(self, a):
         return tuple(-x for x in a)

@@ -459,7 +459,9 @@ def _words(max_size):
     return st.text(alphabet="abAB", max_size=max_size).map(reduce_word)
 
 
-# name -> (group, element strategy).  Dense universes fill the small word
+# name -> (group, element strategy).  z/dense samples of n >= 5 elements
+# span at most 24 < n^2, so their pools come from the bit mask of
+# IntGroup.quotient_pool; the other dense universes fill the small word
 # balls, so their pools come from the balls; sparse ones run out of
 # probes and take the full build; z2sum:3 masks with bits at 3 and above
 # lie outside every word ball and skip the balls.
@@ -511,6 +513,63 @@ def test_quotient_pool_paths(group, extent):
     assert pool == _norm_order(group, quotients)[:4]
     # a window's quotients outnumber every ball smaller than the window
     assert group._ball_quotients(window, len(quotients)) is None
+
+
+@st.composite
+def _z_samples(draw):
+    """A sorted z sample of n >= 2 elements whose span max - min is
+    n^2 - 1, n^2 or n^2 + 1 (either side of the mask path's switch) or
+    wider."""
+    n = draw(st.integers(2, 30))
+    span = draw(st.sampled_from([n * n - 1, n * n, n * n + 1])
+                | st.integers(n * n + 2, 10**6))
+    inner = draw(st.lists(st.integers(1, span - 1), min_size=n - 2,
+                          max_size=n - 2, unique=True))
+    lo = draw(st.integers(-10**6, 10**6))
+    return sorted(lo + x for x in [0, span, *inner])
+
+
+@settings(max_examples=300, deadline=None)
+@given(elements=_z_samples(),
+       cap=st.integers(1, 3) | st.integers(4, 3000))
+def test_z_quotient_pool_matches_brute_force(elements, cap):
+    z = IntGroup()
+    quotients = {y - x for x in elements for y in elements}
+    assert z.quotient_pool(elements, cap) == _norm_order(z, quotients)[:cap]
+
+
+def _no_pair_build(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the z mask path builds no pairs")
+
+    monkeypatch.setattr(IntGroup, "products", refuse)
+    monkeypatch.setattr(Group, "_ball_quotients", refuse)
+
+
+@pytest.mark.parametrize("extent", [500, 2000])
+def test_z_window_pools_come_from_the_mask(monkeypatch, extent):
+    z = IntGroup()
+    window = sorted(z.window_elements(extent))
+    expected = _norm_order(z, range(-2 * extent, 2 * extent + 1))[:4096]
+    _no_pair_build(monkeypatch)
+    assert z.quotient_pool(window, 4096) == expected
+
+
+def test_z_mask_path_switches_at_n_squared(monkeypatch):
+    z = IntGroup()
+    at = [0, 1, 3, 7, 12, 20, 30, 44, 65, 100]     # n = 10, span n^2
+    expected = _norm_order(z, {y - x for x in at for y in at})
+    _no_pair_build(monkeypatch)
+    assert z.quotient_pool(at, 200) == expected
+    with pytest.raises(AssertionError, match="no pairs"):
+        z.quotient_pool(at[:-1] + [101], 200)
+
+
+@pytest.mark.parametrize("group", [g for g, _ in FAMILY_WINDOWS],
+                         ids=lambda g: g.spec)
+def test_quotient_pool_of_no_elements_is_empty(group):
+    for cap in (1, 2, 4096):
+        assert group.quotient_pool([], cap) == []
 
 
 def test_quotient_pool_falls_back_on_sparse_sets_and_wide_masks():
