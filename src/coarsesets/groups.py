@@ -172,17 +172,31 @@ class Group:
     def quotient_pool(self, elements, cap):
         """The ``cap`` quotients y.x^-1 (x, y in ``elements``) with the
         smallest (norm, sort_key), in that order; ``elements`` is a
-        sequence.  This default reads them from the word balls
-        (``_ball_quotients``), else sorts the full build of all n^2
-        products.  z overrides it when the sample's span max - min is at
-        most n^2: the quotients y - x >= 0 are the set bits of one OR of
-        n shifts of the sample's bit mask, O(n * span / 64) word
-        operations, and wider samples take this default."""
-        pool = self._ball_quotients(elements, cap)
+        sequence.  A family kernel that forms no pairs
+        (``_dense_quotients``: z reads a bit mask) answers first when it
+        needs at most 16 word operations per element, of the order of
+        the word balls' own pass over the sample.  The word balls
+        (``_ball_quotients``) come next; they stop at ``cap`` quotients,
+        so on a large sample they cost a pass or two plus the probes.
+        When they fail, the kernel runs if it needs at most one word
+        operation per pair of the full build, and otherwise all n^2
+        products are built and sorted."""
+        n = len(elements)
+        pool = self._dense_quotients(elements, cap, 16 * n)
+        if pool is None:
+            pool = self._ball_quotients(elements, cap)
+        if pool is None:
+            pool = self._dense_quotients(elements, cap, n * n)
         if pool is None:
             pool = self.norm_sorted(
                 self.products(elements, [self.inv(x) for x in elements]), cap)
         return pool
+
+    def _dense_quotients(self, elements, cap, words):
+        """``quotient_pool`` from a family kernel that forms no pairs, or
+        None when it would need more than ``words`` word operations or
+        the family has no such kernel (as here)."""
+        return None
 
     def word_balls_cover(self, elements):
         """True when each element lies in the word ball of its norm."""
@@ -297,20 +311,21 @@ class IntGroup(Group):
         return set(chain.from_iterable(
             map(self.translates, rights, repeat(lefts))))
 
-    def quotient_pool(self, elements, cap):
-        # a span of at most n^2, so the mask has no more bits than the full
-        # build has pairs: bit o of ``mask`` marks lo + o in the sample,
-        # and bit d of ``diffs`` is set exactly when some y - x = d >= 0,
-        # so its low set bits 0, d1, d2, ... give the pool 0, -d1, d1, -d2,
-        # d2, ... in norm_sorted order.  O(n * span / 64) word operations
-        # in C instead of n^2 set inserts and a sort
-        if not elements:
-            return []
+    def _dense_quotients(self, elements, cap, words):
+        # bit o of ``mask`` marks lo + o in the sample, and bit d of
+        # ``diffs`` is set exactly when some y - x = d >= 0, so its low set
+        # bits 0, d1, d2, ... give the pool 0, -d1, d1, -d2, d2, ... in
+        # norm_sorted order.  The n shifts and ORs of span-bit integers
+        # cost n * span / 64 word operations in C.  n distinct integers
+        # span at least n - 1, which declines a large sample without a pass
+        n = len(elements)
+        if not elements or n * (n - 1) > 64 * words:
+            return None
         lo = min(elements)
+        span = max(elements) - lo
+        if n * span > 64 * words:
+            return None
         offsets = [a - lo for a in elements]
-        span = max(offsets)
-        if span > len(elements) ** 2:
-            return super().quotient_pool(elements, cap)
         digits = bytearray(b"0") * (span + 1)      # most significant first
         for o in offsets:
             digits[span - o] = ord("1")

@@ -459,12 +459,12 @@ def _words(max_size):
     return st.text(alphabet="abAB", max_size=max_size).map(reduce_word)
 
 
-# name -> (group, element strategy).  z/dense samples of n >= 5 elements
-# span at most 24 < n^2, so their pools come from the bit mask of
-# IntGroup.quotient_pool; the other dense universes fill the small word
-# balls, so their pools come from the balls; sparse ones run out of
-# probes and take the full build; z2sum:3 masks with bits at 3 and above
-# lie outside every word ball and skip the balls.
+# name -> (group, element strategy).  z/dense samples span at most 24,
+# so their pools come from the bit mask of IntGroup._dense_quotients
+# before any ball; the other dense universes fill the small word balls,
+# so their pools come from the balls while the cap is small; sparse ones
+# run out of probes and take the full build; z2sum:3 masks with bits at
+# 3 and above lie outside every word ball and skip the balls.
 POOL_UNIVERSES = {
     "z/dense": (IntGroup(), st.integers(-12, 12)),
     "z/sparse": (IntGroup(), st.integers(-10**6, 10**6)),
@@ -517,11 +517,12 @@ def test_quotient_pool_paths(group, extent):
 
 @st.composite
 def _z_samples(draw):
-    """A sorted z sample of n >= 2 elements whose span max - min is
-    n^2 - 1, n^2 or n^2 + 1 (either side of the mask path's switch) or
-    wider."""
-    n = draw(st.integers(2, 30))
-    span = draw(st.sampled_from([n * n - 1, n * n, n * n + 1])
+    """A sorted z sample of n >= 2 elements whose span max - min lies
+    either side of the mask path's switches (1024 before the balls, 64n
+    after them) or of n^2, or is wider."""
+    n = draw(st.integers(2, 40))
+    span = draw(st.sampled_from([1023, 1024, 1025, 64 * n - 1, 64 * n,
+                                 64 * n + 1, n * n - 1, n * n, n * n + 1])
                 | st.integers(n * n + 2, 10**6))
     inner = draw(st.lists(st.integers(1, span - 1), min_size=n - 2,
                           max_size=n - 2, unique=True))
@@ -538,31 +539,65 @@ def test_z_quotient_pool_matches_brute_force(elements, cap):
     assert z.quotient_pool(elements, cap) == _norm_order(z, quotients)[:cap]
 
 
-def _no_pair_build(monkeypatch):
+def _refuse(monkeypatch, cls, name):
     def refuse(*args):
-        raise AssertionError("the z mask path builds no pairs")
+        raise AssertionError(f"{name} was called")
 
-    monkeypatch.setattr(IntGroup, "products", refuse)
-    monkeypatch.setattr(Group, "_ball_quotients", refuse)
+    monkeypatch.setattr(cls, name, refuse)
+
+
+def _spy(monkeypatch, cls, name):
+    """The results of every call of ``cls.name``, in order."""
+    results = []
+    method = getattr(cls, name)
+
+    def spy(*args):
+        results.append(method(*args))
+        return results[-1]
+
+    monkeypatch.setattr(cls, name, spy)
+    return results
 
 
 @pytest.mark.parametrize("extent", [500, 2000])
 def test_z_window_pools_come_from_the_mask(monkeypatch, extent):
+    # the window of 500 spans 1000 <= 1024, so the mask answers before
+    # the balls; the balls of the window of 2000 reach its size before
+    # they hold 4096 quotients, and the mask answers after them
     z = IntGroup()
     window = sorted(z.window_elements(extent))
     expected = _norm_order(z, range(-2 * extent, 2 * extent + 1))[:4096]
-    _no_pair_build(monkeypatch)
+    balls = _spy(monkeypatch, Group, "_ball_quotients")
+    _refuse(monkeypatch, IntGroup, "products")
     assert z.quotient_pool(window, 4096) == expected
+    assert balls == ([] if extent == 500 else [None])
 
 
-def test_z_mask_path_switches_at_n_squared(monkeypatch):
+def test_z_windows_past_the_cap_take_the_balls(monkeypatch):
     z = IntGroup()
-    at = [0, 1, 3, 7, 12, 20, 30, 44, 65, 100]     # n = 10, span n^2
+    window = sorted(z.window_elements(10**5))
+    masks = _spy(monkeypatch, IntGroup, "_dense_quotients")
+    _refuse(monkeypatch, IntGroup, "products")
+    assert z.quotient_pool(window, 64) == _norm_order(z, range(-32, 33))[:64]
+    assert masks == [None]      # declined before forming the mask
+
+
+def test_z_mask_path_switches_at_1024_then_64n(monkeypatch):
+    z = IntGroup()
+    balls = _spy(monkeypatch, Group, "_ball_quotients")
+    for span, probed in ((1024, 0), (1025, 1)):
+        sample = [0, 1, 3, 7, span]
+        expected = _norm_order(z, {y - x for x in sample for y in sample})
+        assert z.quotient_pool(sample, 40) == expected
+        assert len(balls) == probed
+    # n = 20 and span 64n = 1280 > 1024: the mask after the balls fail
+    at = [*range(19), 1280]
     expected = _norm_order(z, {y - x for x in at for y in at})
-    _no_pair_build(monkeypatch)
-    assert z.quotient_pool(at, 200) == expected
-    with pytest.raises(AssertionError, match="no pairs"):
-        z.quotient_pool(at[:-1] + [101], 200)
+    monkeypatch.setattr(Group, "_ball_quotients", lambda *args: None)
+    _refuse(monkeypatch, IntGroup, "products")
+    assert z.quotient_pool(at, 400) == expected
+    with pytest.raises(AssertionError, match="products"):
+        z.quotient_pool(at[:-1] + [1281], 400)
 
 
 @pytest.mark.parametrize("group", [g for g, _ in FAMILY_WINDOWS],
