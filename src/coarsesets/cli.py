@@ -151,13 +151,15 @@ def cmd_chain(args):
     start = group.parse(args.start)
     radius = _parse_radius(group, args.radius)
     comp = chain_component(sample, start, radius)
+    # the component lies in the sample, so equal sizes mean the same set
+    ordered = sample.ordered if len(comp) == len(sample) else group.sorted(comp)
     return {
         "kind": "chain-component",
         "group": group.spec,
         "start": group.render(start),
         "radius": radius.describe(),
         "size": str(len(comp)),
-        "elements": [group.render(x) for x in group.sorted(comp)],
+        "elements": [group.render(x) for x in ordered],
     }
 
 

@@ -85,9 +85,8 @@ def density_pwip_experiment(recipe, depth, window_extent=None, scale=None):
     group = IntGroup()
     window = group.window(window_extent)
     sample = recipe.resolve(group, window)
-    clipped = FiniteSample(
-        group, frozenset(group.interior(window, sample.ordered, 0)),
-        window, recipe)
+    clipped = FiniteSample.from_ordered(
+        group, group.interior(window, sample.ordered, 0), window, recipe)
     profile = upper_density_profile(recipe, max(window_extent, 1000))
     achieved, witness = structures.deepest_pwip(clipped, depth, scale)
     return {

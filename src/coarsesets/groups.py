@@ -15,7 +15,9 @@ quotient pool read from a bit mask) is a method or attribute of the
 family's Group subclass, so a new family is one new subclass.  Every
 family has its own ``translates`` and ``products``, so none pays a
 ``mul`` call per element.  A window is its integer extent,
-and the group answers every question about it.  ``interior`` is its one
+and the group answers every question about it.  ``window_elements``
+generates it in ``sort_key`` order, which a window sample keeps as its
+``ordered`` tuple, so no window is ever sorted.  ``interior`` is its one
 membership rule: the elements whose margin word ball the window holds,
 margin 0 meaning the elements in the window.
 """
@@ -102,8 +104,10 @@ class Group:
         raise NotImplementedError
 
     def word_ball(self, r):
-        """All elements of word length <= r (r >= 0)."""
-        raise NotImplementedError
+        """All elements of word length <= r (r >= 0).  On z and free:k,
+        whose window is the word ball, the frozenset of the window's
+        ordered walk."""
+        return frozenset(self.window_elements(r))
 
     def word_ball_size(self, r):
         """len(word_ball(r)), without building it."""
@@ -115,7 +119,11 @@ class Group:
         return self.word_ball_size(extent)
 
     def window_elements(self, extent):
-        return self.word_ball(extent)
+        """The window of ``extent`` as an iterable in ``sort_key`` order,
+        without repeats: each family generates it in that order (a range
+        on z and z2sum, a product of ranges on z^d, a walk sphere by
+        sphere on free:k), so no window is ever sorted."""
+        raise NotImplementedError
 
     def interior(self, extent, ordered, margin):
         """The elements of the sorted tuple ``ordered`` whose word ball of
@@ -405,8 +413,8 @@ class IntGroup(Group):
     def generators(self):
         return (1, -1)
 
-    def word_ball(self, r):
-        return frozenset(range(-r, r + 1))
+    def window_elements(self, extent):
+        return range(-extent, extent + 1)
 
     def word_ball_size(self, r):
         return 2 * r + 1
@@ -492,8 +500,18 @@ class LatticeGroup(Group):
         return product(range(-extent, extent + 1), repeat=self.d)
 
     def interior(self, extent, ordered, margin):
+        """The box |y_i| <= extent - margin: the sorted tuples order the
+        first coordinate, so it is a ``bisect`` slice; each further
+        coordinate is filtered by a ``compress`` over its absolute
+        values.  A bound below 0 keeps nothing."""
         bound = extent - margin
-        return tuple(y for y in ordered if max(map(abs, y)) <= bound)
+        first = itemgetter(0)
+        kept = ordered[bisect_left(ordered, -bound, key=first):
+                       bisect_right(ordered, bound, key=first)]
+        for i in range(1, self.d):
+            kept = tuple(compress(kept, map(bound.__ge__, map(
+                abs, map(itemgetter(i), kept)))))
+        return kept
 
 
 @dataclass(frozen=True)
@@ -692,17 +710,18 @@ class FreeGroup(Group):
         return tuple(chain.from_iterable(
             (ch, ch.upper()) for ch in _LETTERS[:self.rank]))
 
-    def word_ball(self, r):
-        gens = self.generators()
-        # the letters that may follow each last letter ("" for e)
+    def window_elements(self, extent):
+        # sphere by sphere: the words of a sorted sphere, each extended by
+        # the sorted letters that may follow its last letter ("" for e),
+        # make the next sphere sorted, so the walk is in (len, word) order
+        gens = sorted(self.generators())
         follow = {last: [g for g in gens if g != last.swapcase()]
-                  for last in ("",) + gens}
-        out = {""}
-        frontier = [""]
-        for _ in range(r):
-            frontier = [w + g for w in frontier for g in follow[w[-1:]]]
-            out.update(frontier)
-        return frozenset(out)
+                  for last in ("", *gens)}
+        sphere = [""]
+        yield ""
+        for _ in range(extent):
+            sphere = [w + g for w in sphere for g in follow[w[-1:]]]
+            yield from sphere
 
     def word_ball_size(self, r):
         # the sphere of radius i holds 2k(2k-1)^(i-1) reduced words
@@ -770,9 +789,20 @@ class FiniteSample:
     window: int | None = None
     recipe: object | None = None
 
+    @classmethod
+    def from_ordered(cls, group, ordered, window=None, recipe=None):
+        """The sample of the elements of ``ordered``, an iterable already
+        in ``sort_key`` order and without repeats, which becomes its
+        ``ordered`` tuple unsorted."""
+        ordered = tuple(ordered)
+        sample = cls(group, frozenset(ordered), window, recipe)
+        sample.__dict__["ordered"] = ordered
+        return sample
+
     @cached_property
     def ordered(self):
-        """The elements as a tuple in ``sort_key`` order, sorted once."""
+        """The elements as a tuple in ``sort_key`` order, sorted once
+        unless ``from_ordered`` gave it."""
         return tuple(self.group.sorted(self.elements))
 
     @cached_property
@@ -824,10 +854,11 @@ class FiniteSample:
         return iter(self.ordered)
 
 
-def enumerate_window(group, extent):
+def enumerate_window(group, extent, recipe=None):
     """Every carrier element in the window of ``extent``, as a
-    FiniteSample; over ``WINDOW_CAP`` elements it raises before building."""
+    FiniteSample with ``recipe`` whose order is the one the window is
+    generated in; over ``WINDOW_CAP`` elements it raises before building."""
     extent = group.window(extent)
     _check_cap(group.window_size, extent, "window of extent")
-    return FiniteSample(group, frozenset(group.window_elements(extent)),
-                        extent)
+    return FiniteSample.from_ordered(group, group.window_elements(extent),
+                                     extent, recipe)

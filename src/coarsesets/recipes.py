@@ -89,6 +89,8 @@ class SetSpec:
         group = group or self.group()
         if window is None:
             window = self.default_window(group)
+        if self.kind == "window":
+            return enumerate_window(group, window, self)
         elems = self._elements(group, window)
         return FiniteSample(group, frozenset(elems), window, self)
 
@@ -96,8 +98,6 @@ class SetSpec:
         kind = self.kind
         if kind == "explicit":
             return {group.parse(t) for t in self.strings("elements")}
-        if kind == "window":
-            return enumerate_window(group, window).elements
         if kind == "periodic":
             if not isinstance(group, IntGroup):
                 raise GroupError("periodic recipes require the group z")

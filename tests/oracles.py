@@ -274,6 +274,14 @@ def window_interior(group, extent, el, margin):
     return group.norm(el) + margin <= extent
 
 
+def box_interior(ordered, extent, margin):
+    """The points of ``ordered`` (tuples of ints) whose every coordinate
+    has absolute value at most extent - margin, in their order, one
+    point and one coordinate at a time."""
+    return tuple(y for y in ordered
+                 if all(abs(c) + margin <= extent for c in y))
+
+
 def cantor_by_digit_filter(levels):
     """The elements of the ``levels``-level Cantor-geodesic set: every
     index 0..3^n of block n, kept when no base-3 digit is 1."""

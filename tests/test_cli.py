@@ -9,6 +9,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 import coarsesets
 from coarsesets.cli import COMMANDS, build_parser, run
+from coarsesets.geometry import chain_component, word_radius
 from coarsesets.recipes import SetSpec
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -59,6 +60,25 @@ def test_chain(capsys):
                                "--start", "0", "--radius=-1,1")
     assert code == 0
     assert report["elements"] == ["0", "1", "2"]
+
+
+@pytest.mark.parametrize("argv,spec,start,whole", [
+    (["--group", "free:2", "--kind", "window", "--window", "3"],
+     SetSpec.make("free:2", "window", 3), "ab", True),
+    (["--group", "z", "--kind", "explicit", "--elements", "0,1,2,10,11"],
+     SetSpec.make("z", "explicit", elements=["0", "1", "2", "10", "11"]),
+     "10", False)], ids=["window", "two-components"])
+def test_chain_prints_the_component_sorted(capsys, argv, spec, start, whole):
+    # on a window the component is the whole sample, whose order is read
+    # off the sample; elsewhere the component is sorted
+    code, report = invoke_json(capsys, "chain", *argv, f"--start={start}",
+                               "--radius", "wordball:1")
+    assert code == 0
+    sample = spec.resolve()
+    group = sample.group
+    comp = chain_component(sample, group.parse(start), word_radius(group, 1))
+    assert (comp == sample.elements) == whole
+    assert report["elements"] == [group.render(x) for x in group.sorted(comp)]
 
 
 def test_cellular_negative_exit(capsys):

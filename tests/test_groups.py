@@ -632,3 +632,50 @@ def test_sample_builds_its_quotient_pool_once(monkeypatch):
     assert sample.quotient_pool(10) is first
     assert sample.quotient_pool(5) == first[:5]
     assert calls == [10, 5]
+
+
+# every family, with z^1, z^3 and the free groups of ranks 1 to 3
+ORDER_GROUPS = [IntGroup(), LatticeGroup(1), LatticeGroup(2), LatticeGroup(3),
+                XorGroup(5), FreeGroup(1), FreeGroup(2), FreeGroup(3)]
+
+
+@pytest.mark.parametrize("group", ORDER_GROUPS, ids=lambda g: g.spec)
+def test_windows_are_generated_in_sort_key_order(group):
+    for extent in range(6):
+        window = list(group.window_elements(extent))
+        assert window == group.sorted(set(window))
+        assert group.word_ball(extent) == oracles.bfs_word_ball(group, extent)
+
+
+@pytest.mark.parametrize("group", ORDER_GROUPS, ids=lambda g: g.spec)
+def test_window_samples_are_never_sorted(monkeypatch, group):
+    extent, outer = 2, group.enlarged_extent(2)
+    expected = {e: tuple(group.sorted(group.window_elements(e)))
+                for e in (extent, outer)}
+    _refuse(monkeypatch, Group, "sorted")
+    _refuse(monkeypatch, FreeGroup, "sorted")
+    assert enumerate_window(group, extent).ordered == expected[extent]
+    spec = SetSpec.make(group.spec, "window")
+    sample = spec.resolve(group, extent)
+    assert sample.ordered == expected[extent]
+    assert sample.elements == frozenset(expected[extent])
+    assert sample.recipe is spec and sample.window == extent
+    assert sample.outer.window == outer
+    assert sample.outer.ordered == expected[outer]
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 3), data=st.data())
+def test_lattice_interior_is_the_box(d, data):
+    group = LatticeGroup(d)
+    points = data.draw(st.frozensets(
+        st.tuples(*[st.integers(-6, 6)] * d), max_size=40))
+    ordered = tuple(sorted(points))
+    extent = data.draw(st.integers(0, 5))
+    margin = data.draw(st.integers(0, extent + 3))
+    interior = group.interior(extent, ordered, margin)
+    assert isinstance(interior, tuple)
+    assert interior == oracles.box_interior(ordered, extent, margin)
+    # the identity alone, as the CLI asks before it builds a sample
+    e = (group.identity(),)
+    assert group.interior(extent, e, margin) == (e if margin <= extent else ())
