@@ -124,6 +124,8 @@ def sparse_witness(sample, xset, scale):
     quotient tuple; only the winning F translates its intersection.
     """
     group = sample.group
+    if xset.group != group:
+        raise GroupError("X belongs to a different group")
     if not xset.elements:
         raise GroupError("sparse witness needs a nonempty X")
     pool = xset.ordered[: max(scale.pool_cap // 16, 8)]
@@ -185,6 +187,8 @@ def isolated_balls_verdict(sample, scale, ambient=None):
     """
     group = sample.group
     universe = sample if ambient is None else ambient
+    if universe.group != group:
+        raise GroupError("ambient set belongs to a different group")
     if ambient is not None and not sample.elements <= ambient.elements:
         raise GroupError("sample must lie inside the ambient set")
     margin = scale.margin_for(group)

@@ -7,7 +7,10 @@ sum, and the base-3 geodesic set whose kept indices have no digit 1.
 
 The detector solves for generators and shifts directly from candidate
 product assignments inside the target set, so its search space is the
-set's own elements and their quotients.
+set's own elements and their quotients.  One depth-first walk down the
+paper's descending chain serves both entry points: ``deepest_pwip``
+keeps the deepest witness it completes, and ``detect_pwip`` is its
+exact-depth case.
 """
 
 from __future__ import annotations
@@ -175,17 +178,6 @@ class PwipWitness:
         }
 
 
-def _pool_partners(group, pool, cands):
-    """xj -> the t in ``cands`` with t.xj^-1 in the pool, in the order of
-    ``cands``: all of ``cands`` when the pool is no smaller, else the
-    translates pool.xj that lie in ``cands``, ordered by position."""
-    if len(pool) >= len(cands):
-        return lambda xj: cands
-    position = {x: i for i, x in enumerate(cands)}
-    return lambda xj: sorted(position.keys() & group.products(pool, (xj,)),
-                             key=position.__getitem__)
-
-
 def _chain_step(group, cands, members, g):
     """The next chain set A & g^-1.A of the candidate list A, whose
     elements are the set ``members``: the x in A with g.x in A, in the
@@ -224,7 +216,9 @@ def _chain_sets(group, cands, pool):
 
 
 def detect_pwip(sample, depth, scale=None):
-    """Exact-depth witness search inside the sample, or None.
+    """Exact-depth witness search inside the sample, or None: the
+    depth-``depth`` witness of ``deepest_pwip``'s walk, which stops
+    short of that depth when there is none.
 
     The 2^d - 1 products are picked in the sample consistently with the
     product equations; generators are solved from them and must fall in
@@ -233,16 +227,32 @@ def detect_pwip(sample, depth, scale=None):
     """
     if depth < 1:
         raise GroupError("depth must be >= 1")
+    # 2^depth - 1 > |A|, without building 2^depth: no walk gets there
+    if depth >= (len(sample) + 1).bit_length():
+        return None
+    reached, witness = deepest_pwip(sample, depth, scale)
+    return witness if reached == depth else None
+
+
+def deepest_pwip(sample, max_depth, scale):
+    """(d, witness) for the largest d <= max_depth with a witness, or
+    (0, None), from one depth-first walk down the chain.  A branch that
+    completes depth d + 1 has completed depth d, so the walk keeps the
+    first witness it completes at each new depth.  It stops at
+    ``max_depth``, at the room for 2^d - 1 distinct products, at the
+    pool size (a depth-d witness takes d distinct pool elements), or
+    when no branch goes deeper."""
     group = sample.group
-    elems = sample.elements
-    # 2^depth - 1 > |A|, without building 2^depth
-    if depth >= (len(elems) + 1).bit_length():
-        return None              # not enough room for the distinct products
-    scale = scale or budgets.preset("large")
     ordered = sample.ordered
-    pool_list = sample.quotient_pool(scale.pool_cap)
+    top = min(max_depth, (len(ordered) + 1).bit_length() - 1)
+    scale = scale or budgets.preset("large")
+    pool_list = sample.quotient_pool(scale.pool_cap) if top > 0 else []
+    top = min(top, len(pool_list))
+    if top < 1:
+        return 0, None
     pool = frozenset(pool_list)
     mul = group.mul
+    best = [], []                # gens and products of the deepest so far
 
     def translate(prefix, x, taken):
         """The products p.x over the prefix, or None if one is taken.
@@ -258,30 +268,26 @@ def detect_pwip(sample, depth, scale=None):
         return out
 
     # Stage j picks x = P({j}) and t = P({j-1, j}), which fixes
-    # g_{j-1} = t.x^-1 and, by translating the products over subsets of
-    # {0..j-2}, every product whose largest index is j.  ``found`` holds
-    # those products in subset-mask order from mask 2 on; P({0}) is free
-    # and is picked last.  Both x and t come from ``cands``, the chain
-    # set A_j of the sample elements whose prefix translates all lie in
-    # the sample; the generator g picked at stage j shrinks it to
-    # A_{j+1} = A_j & g^-1.A_j through the node's ``chain_set``, which
-    # scans A_j once per g for the node's first |A_j| steps and then
-    # reads a pair table built once.  The last picking stage skips the
-    # step: the final stage reads no chain set.  Every element left out
-    # would fail ``translate``, so the search takes the same branches in
-    # the same order as over the whole sample.  A child that still has
-    # to pick needs 3 elements of A_{j+1}: its x and t differ, and both
-    # differ from this stage's x, which lies in A_{j+1} (g.x = t is in
-    # A_j) and is already taken.  So a smaller A_{j+1} is skipped
-    # unsearched.
+    # g_{j-1} = t.x^-1 in the pool and, by translating the products over
+    # subsets of {0..j-2}, every product whose largest index is j.
+    # ``found`` holds those products in subset-mask order from mask 2
+    # on, so each pair picked at stage j completes a depth-(j+1) witness.
+    # Both x and t come from ``cands``, the chain set A_j of the sample
+    # elements whose prefix translates all lie in the sample; every
+    # element left out would fail ``translate``.  The generator g picked
+    # at stage j shrinks it to A_{j+1} = A_j & g^-1.A_j through the
+    # node's ``chain_set`` (a scan per g, then a pair table).  The stage
+    # that completes depth ``top`` takes no chain step: its first pair
+    # ends the walk.  A child needs 3 elements of A_{j+1}: its x and t
+    # differ, and both differ from this stage's x, which lies in A_{j+1}
+    # (g.x = t is in A_j) and is already taken.
     def extend(stage, gens, found, cands):
+        """True once the walk has its depth-``top`` witness."""
+        nonlocal best
         taken = set(found)
-        if stage == depth:
-            # 2^d - 1 <= |sample| leaves at least one element untaken
-            return gens, [next(x for x in ordered if x not in taken)] + found
         prefix = _subset_products(group, gens)
-        partners = _pool_partners(group, pool_list, cands)
-        deeper = stage + 1 < depth
+        fresh = len(best[0]) < stage     # no depth-(stage+1) witness yet
+        deeper = stage + 1 < top
         chain_set = _chain_sets(group, cands, pool) if deeper else None
         for xj in cands:
             part1 = translate(prefix, xj, taken)
@@ -289,54 +295,37 @@ def detect_pwip(sample, depth, scale=None):
                 continue
             taken1 = taken.union(part1)
             xj_inv = group.inv(xj)
-            for t in partners(xj):
+            for t in cands:
                 gj = mul(t, xj_inv)
                 if gj not in pool or gj in gens:
                     continue
                 part2 = translate(prefix, t, taken1)
                 if part2 is None:
                     continue
-                nxt = None
-                if deeper:
-                    nxt = chain_set(gj)
-                    if len(nxt) < 3:
-                        continue
-                hit = extend(stage + 1, gens + [gj], found + part1 + part2,
-                             nxt)
-                if hit is not None:
-                    return hit
-        return None
+                if fresh:
+                    best, fresh = (gens + [gj], found + part1 + part2), False
+                if not deeper:
+                    return True
+                nxt = chain_set(gj)
+                if len(nxt) >= 3 and extend(stage + 1, gens + [gj],
+                                            found + part1 + part2, nxt):
+                    return True
+        return False
 
-    hit = extend(1, [], [], ordered)
-    if hit is None:
-        return None
-    gens, values = hit
-    # the last generator is unconstrained by the products; pick the
-    # first pool element keeping the sequence injective.
-    last = next((c for c in pool_list if c not in gens), None)
-    if last is None:
-        return None
-    gens = gens + [last]
+    if top > 1:
+        extend(1, [], [], ordered)
+    gens, found = best
+    # P({0}) and the last generator are free: the first untaken element,
+    # and the first pool element keeping the sequence injective
+    taken = set(found)
+    values = [next(x for x in ordered if x not in taken)] + found
+    gens = gens + [next(c for c in pool_list if c not in gens)]
+    depth = len(gens)
     shifts = tuple(mul(group.inv(gens[j]), values[2 ** j - 1])
                    for j in range(depth))
     prods = tuple(sorted((_indices(m), v) for m, v in enumerate(values, 1)))
     witness = PwipWitness(group, depth, tuple(gens), shifts, prods)
-    assert witness.validate(elems)
-    return witness
-
-
-def deepest_pwip(sample, max_depth, scale):
-    """(d, ``detect_pwip(sample, d)``) for the largest d <= max_depth
-    with a witness, or (0, None).  Success is monotone in depth: a
-    branch that reaches stage d passed stage d - 1, and the pool still
-    holds a spare last generator.  So the depths are tried upward, and
-    at most the last search runs to exhaustion."""
-    depth, witness = 0, None
-    for d in range(1, max_depth + 1):
-        found = detect_pwip(sample, d, scale=scale)
-        if found is None:
-            break
-        depth, witness = d, found
+    assert witness.validate(sample.elements)
     return depth, witness
 
 

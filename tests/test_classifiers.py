@@ -192,6 +192,14 @@ def test_sparse_powers_of_two():
     assert rep.verdict == "WITNESS_FOUND"
 
 
+def test_sparse_witness_rejects_an_x_of_another_group():
+    # the same integers in z2sum:5 would pass as a witness for the evens
+    sample = resolved("periodic", modulus=2, residues=["0"], window=256)
+    xset = FiniteSample(XorGroup(5), frozenset({0, 1}))
+    with pytest.raises(GroupError, match="X belongs to a different group"):
+        sparse_witness(sample, xset, MEDIUM)
+
+
 def _sparse_reference(sample, xset, scale):
     """sparse_witness from the definition: every candidate F in order,
     with |n_{g in F} gA| taken from the translates of both samples."""
@@ -358,6 +366,15 @@ def test_isolated_balls_ambient():
         isolated_balls_verdict(
             FiniteSample(Z, frozenset({10**6}), ambient.window),
             MEDIUM, ambient=ambient)
+
+
+def test_isolated_balls_rejects_an_ambient_of_another_group():
+    # z2sum:5 holds the same integers, so the subset check alone passes
+    sample = FiniteSample(Z, frozenset(range(32)), 128)
+    ambient = FiniteSample(XorGroup(5), frozenset(range(32)))
+    with pytest.raises(GroupError,
+                       match="ambient set belongs to a different group"):
+        isolated_balls_verdict(sample, MEDIUM, ambient=ambient)
 
 
 def _direct_isolated_oracle(sample, scale):

@@ -346,6 +346,29 @@ def test_deepest_pwip_is_the_largest_depth_with_a_witness(family, data):
     assert deepest_pwip(sample, 0, scale) == (0, None)
 
 
+@pytest.mark.parametrize("family", sorted(CHAIN_UNIVERSES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_detect_pwip_is_the_walks_witness_at_its_depth(family, data):
+    group, universe = CHAIN_UNIVERSES[family]
+    elems = frozenset(data.draw(st.lists(st.sampled_from(universe),
+                                         max_size=15, unique=True)))
+    sample = FiniteSample(group, elems)
+    # caps 1-12 cut the pool short; 4096 holds every quotient, so the
+    # walk's verdict is the oracle's
+    cap = data.draw(st.one_of(st.integers(1, 12), st.just(4096)))
+    scale = dataclasses.replace(preset("small"), pool_cap=cap)
+    top = data.draw(st.integers(1, 4))
+    depth, witness = deepest_pwip(sample, top, scale)
+    if depth:
+        assert witness == detect_pwip(sample, depth, scale)
+        assert witness.validate(elems)
+    if depth < top and 2 ** (depth + 1) - 1 <= len(elems):
+        assert detect_pwip(sample, depth + 1, scale) is None
+        if len(sample.quotient_pool(cap)) < cap:
+            assert not oracles.pwip_exists(group, elems, depth + 1)
+
+
 def test_witness_validate_rejects_tampering():
     sample = gen_pwip(Z, (10, 100, 1000), (1, 2, 3))
     witness = detect_pwip(sample, 3)
@@ -492,49 +515,13 @@ def test_classify_finishes(spec, budget, depth):
 
 
 def test_pwip_search_draws_t_from_the_pool():
-    # cands outnumber the pool, so t runs over the pool's translates
+    # cands outnumber the pool, so most t fail the pool filter
     sample = FiniteSample(Z, frozenset(range(-40, 41)))
     scale = dataclasses.replace(preset("small"), pool_cap=5)
     assert sample.quotient_pool(5) == [0, -1, 1, -2, 2]
     witness = detect_pwip(sample, 3, scale)
     assert witness.gens == (1, 2, 0)
     assert witness.validate(sample.elements)
-
-
-@pytest.mark.parametrize("family", sorted(CHAIN_UNIVERSES))
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_pool_driven_t_loop_matches_the_full_scan(family, data):
-    group, universe = CHAIN_UNIVERSES[family]
-    elems = frozenset(data.draw(st.lists(st.sampled_from(universe),
-                                         min_size=3, max_size=15,
-                                         unique=True)))
-    scale = dataclasses.replace(preset("small"),
-                                pool_cap=data.draw(st.integers(1, 12)))
-    depth = data.draw(st.integers(2, 3))
-    got = detect_pwip(FiniteSample(group, elems), depth, scale)
-    with mock.patch.object(structures, "_pool_partners",
-                           lambda group, pool, cands: lambda xj: cands):
-        full = detect_pwip(FiniteSample(group, elems), depth, scale)
-    assert got == full
-
-
-@pytest.mark.parametrize("family", sorted(CHAIN_UNIVERSES))
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_pool_partners_match_the_filtered_scan(family, data):
-    group, universe = CHAIN_UNIVERSES[family]
-    cands = sorted(data.draw(st.lists(st.sampled_from(universe), min_size=1,
-                                      max_size=15, unique=True)),
-                   key=group.sort_key)
-    pool = data.draw(st.lists(st.sampled_from(universe), min_size=1,
-                              max_size=len(cands), unique=True))
-    partners = structures._pool_partners(group, pool, cands)
-    for xj in cands:
-        # the search skips t with t.xj^-1 outside the pool either way
-        inv = group.inv(xj)
-        assert [t for t in partners(xj) if group.mul(t, inv) in pool] == \
-            [t for t in cands if group.mul(t, inv) in pool]
 
 
 def _scan_only(group, cands, pool):
@@ -614,23 +601,41 @@ def test_chain_table_then_a_witness():
 def test_last_stage_takes_no_chain_step(depth):
     sample = FiniteSample(Z, frozenset(range(0, 40, 3)) | {1, 5, 11})
     nodes, searched = [], []
-    partners = structures._pool_partners
+    products = structures._subset_products
 
-    def counted_partners(group, pool, cands):
-        searched.append(len(cands))
-        return partners(group, pool, cands)
+    def counted_products(group, gens):
+        # once per picking node, over the generators picked above it
+        searched.append(len(gens))
+        return products(group, gens)
 
+    # validate builds the found witness's products as well
     with mock.patch.object(structures, "_chain_sets",
                            _counting_chain_sets(nodes)), \
-            mock.patch.object(structures, "_pool_partners", counted_partners):
-        detect_pwip(sample, depth, preset("medium"))
+            mock.patch.object(structures, "_subset_products",
+                              counted_products), \
+            mock.patch.object(PwipWitness, "validate",
+                              lambda self, target: True):
+        assert detect_pwip(sample, depth, preset("medium")) is not None
     if depth < 3:
-        assert nodes == []
+        assert nodes == [] and searched == [0] * (depth - 1)
     else:
         # the top node takes chain steps; the stage-2 nodes, which pick
         # last, search without a chain set
         assert len(nodes) == 1 and nodes[0][0] == len(sample)
-        assert nodes[0][1] > 0 and any(n < len(sample) for n in searched)
+        assert nodes[0][1] > 0 and searched[0] == 0 and 1 in searched
+
+
+def test_classify_walks_the_chain_once():
+    # at large, classify asks for depth 4 and this window has it; one
+    # walk builds the top node's chain sets once, where a search per
+    # depth built them at depth 3 and again at depth 4
+    sample = SetSpec.make("z", "window", window_extent=300).resolve()
+    nodes = []
+    with mock.patch.object(structures, "_chain_sets",
+                           _counting_chain_sets(nodes)):
+        report = classify(sample, preset("large"))
+    assert report["pwip"]["max_depth"] == "4"
+    assert [size for size, _ in nodes].count(len(sample)) == 1
 
 
 def _distinct_quotients_z(rng, n, bound):
