@@ -39,13 +39,16 @@ def _periodic_count(q, residues, n):
     return sum((n - r) // q + (n + r) // q + 1 for r in residues)
 
 
+def _require_z(recipe):
+    if not isinstance(recipe.group(), IntGroup):
+        raise GroupError("density profiles require the group z")
+
+
 def _counter_for(recipe, n_max):
     if recipe.kind == "periodic":
         q, residues = recipe.periodic()
         return lambda n: _periodic_count(q, residues, n)
-    group = IntGroup()
-    sample = recipe.resolve(group, n_max)
-    arr = sorted(x for x in sample.elements if -n_max <= x <= n_max)
+    arr = recipe.resolve(IntGroup(), n_max).interior(0)
     return lambda n: bisect_right(arr, n) - bisect_left(arr, -n)
 
 
@@ -59,8 +62,7 @@ def upper_density_profile(recipe, n_max, step=None):
         step = max(n_max // 100, 1)
     if step < 1:
         raise GroupError("step must be >= 1")
-    if not isinstance(recipe.group(), IntGroup):
-        raise GroupError("density profiles require the group z")
+    _require_z(recipe)
     count = _counter_for(recipe, n_max)
     entries = []
     for n in (*range(step, n_max, step), n_max):
@@ -84,6 +86,7 @@ def density_pwip_experiment(recipe, depth, window_extent=None, scale=None):
     scale = scale or budgets.preset("large")
     group = IntGroup()
     window = group.window(window_extent)
+    _require_z(recipe)
     sample = recipe.resolve(group, window)
     clipped = FiniteSample.from_ordered(
         group, group.interior(window, sample.ordered, 0), window, recipe)

@@ -1,8 +1,9 @@
 """Metric-free combinatorial primitives over group samples.
 
 The ball of radius F (a finite subset of the group) around g is the
-right translate F.g together with g itself, built by ``Group.products``;
-left translates g.X go through ``Group.translates`` alone.  Mapping
+right translate F.g together with g itself, built by
+``Group.right_translates``; left translates g.X go through
+``Group.translates`` alone.  Mapping
 checks are built from ``ball``; verdicts that only compare ball sizes
 count them in bulk through ``Group.ball_sizes``, chain components come
 from ``Group.chain_component``, and ``reach`` reads the least word ball
@@ -50,9 +51,7 @@ def ball(group, g, radius):
     """B(g, F) = F.g u {g}."""
     if radius.group != group:
         raise GroupError("radius belongs to a different group")
-    out = group.products(radius.elements, (g,))
-    out.add(g)
-    return frozenset(out)
+    return frozenset([*group.right_translates(radius.elements, g), g])
 
 
 def restricted_ball(sample, g, radius):
@@ -63,7 +62,7 @@ def restricted_ball(sample, g, radius):
 def reach(group, points, center):
     """The least r with every point in wordball(r).center: the largest
     norm of p.center^-1, or infinity when one lies in no word ball."""
-    quotients = group.products(points, (group.inv(center),))
+    quotients = list(group.right_translates(points, group.inv(center)))
     if not group.word_balls_cover(quotients):
         return inf
     return max(map(group.norm, quotients))

@@ -10,11 +10,11 @@ Elements are plain payloads (int, tuple of ints, int bit mask, str);
 all operations live on the Group object, which is immutable.  Everything
 that differs between families (arithmetic, encodings, word balls, the
 finite windows, budget ladders, the default window, the bulk translate,
-product, interior, ball-size and chain-partition kernels, and z's
-quotient pool read from a bit mask) is a method or attribute of the
-family's Group subclass, so a new family is one new subclass.  Every
-family has its own ``translates`` and ``products``, so none pays a
-``mul`` call per element.  A window is its integer extent,
+interior, ball-size and chain-partition kernels, and z's quotient pool
+read from a bit mask) is a method or attribute of the family's Group
+subclass, so a new family is one new subclass.  Every family has its
+own ``translates``, and free:k its own ``right_translates``, so none
+pays a ``mul`` call per element.  A window is its integer extent,
 and the group answers every question about it.  ``window_elements``
 generates it in ``sort_key`` order, which a window sample keeps as its
 ``ordered`` tuple, so no window is ever sorted.  ``interior`` is its one
@@ -166,16 +166,14 @@ class Group:
         itself)."""
         raise NotImplementedError
 
-    def products(self, lefts, rights):
-        """The set {a * b : a in lefts, b in rights}, equal to the set of
-        ``mul(a, b)``: the right translate X.g of balls and reach (one
-        right factor), and the quotient pool's build.  Both arguments
-        must be collections, as a family may iterate either side once
-        per element of the other.  Each family has a bulk kernel: z2sum
-        skips the per-pair method call, abelian z and z^d translate the
-        left side by each right factor, and free:k concatenates unless
-        a's last letter cancels b's first."""
-        raise NotImplementedError
+    def right_translates(self, xs, g):
+        """The right translates x * g for x in the collection ``xs``, in
+        its order, as a lazy iterable: the mirror of ``translates`` and
+        the one kernel for right translates, which balls, reach, the
+        quotient pool's full build and the pwip products go through.
+        x.g = g.x in the abelian families, so this default is their
+        ``translates``; only free:k has its own."""
+        return self.translates(g, xs)
 
     def quotient_pool(self, elements, cap):
         """The ``cap`` quotients y.x^-1 (x, y in ``elements``) with the
@@ -196,8 +194,9 @@ class Group:
         if pool is None:
             pool = self._dense_quotients(elements, cap, n * n)
         if pool is None:
-            pool = self.norm_sorted(
-                self.products(elements, [self.inv(x) for x in elements]), cap)
+            pool = self.norm_sorted(set(chain.from_iterable(map(
+                self.right_translates, repeat(elements),
+                map(self.inv, elements)))), cap)
         return pool
 
     def _dense_quotients(self, elements, cap, words):
@@ -266,7 +265,8 @@ class Group:
                     Y.__contains__, self.translates(f, points))))
             return dict(zip(points, counts))
         inv = self.inv
-        return {y: len(self.products(Y, (inv(y),)) & steps) for y in points}
+        return {y: len(steps.intersection(self.right_translates(Y, inv(y))))
+                for y in points}
 
     def chain_component(self, members, a, steps):
         """The elements of ``members`` reachable from a by steps x -> k.x
@@ -312,12 +312,6 @@ class IntGroup(Group):
 
     def translates(self, g, xs):
         return map(add, repeat(g), xs)
-
-    def products(self, lefts, rights):
-        # z (and z^d, which shares this kernel) is abelian, so a.b = b.a:
-        # translate the left side by each right factor
-        return set(chain.from_iterable(
-            map(self.translates, rights, repeat(lefts))))
 
     def _dense_quotients(self, elements, cap, words):
         # bit o of ``mask`` marks lo + o in the sample, and bit d of
@@ -446,8 +440,6 @@ class LatticeGroup(Group):
         return zip(*[map(add, map(itemgetter(i), xs), repeat(c))
                      for i, c in enumerate(g)])
 
-    products = IntGroup.products
-
     def inv(self, a):
         return tuple(-x for x in a)
 
@@ -542,9 +534,6 @@ class XorGroup(Group):
 
     def translates(self, g, xs):
         return map(xor, repeat(g), xs)
-
-    def products(self, lefts, rights):
-        return {a ^ b for a in lefts for b in rights}
 
     def inv(self, a):
         return a
@@ -669,12 +658,13 @@ class FreeGroup(Group):
         mul = self.mul
         return (mul(g, x) if x[:1] == cancel else g + x for x in xs)
 
-    def products(self, lefts, rights):
-        # a.b is a + b unless a ends with the inverse of b's first letter
+    def right_translates(self, xs, g):
+        # x.g is x + g unless x ends with the inverse of g's first letter
+        if not g:
+            return xs
+        cancel = g[0].swapcase()
         mul = self.mul
-        rights = [(b, b[:1].swapcase()) for b in rights]
-        return {mul(a, b) if a[-1:] == cancel else a + b
-                for a in lefts for b, cancel in rights}
+        return (mul(x, g) if x[-1:] == cancel else x + g for x in xs)
 
     def inv(self, a):
         return a[::-1].swapcase()

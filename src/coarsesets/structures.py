@@ -42,10 +42,10 @@ def _subset_products(group, gens):
     increasing i; so entry 0 is the identity, and entries 2^j to
     2^(j+1) - 1 are the subsets whose largest index is j.
     """
-    mul = group.mul
     prods = [group.identity()]
     for g in gens:
-        prods += [mul(p, g) for p in prods]
+        # a list first: the lazy translates read ``prods`` as it grows
+        prods += list(group.right_translates(prods, g))
     return prods
 
 
@@ -79,8 +79,8 @@ def gen_pwip(group, gens, shifts):
     prods = {group.identity()}
     out = set()
     for g, b in zip(gens, shifts):
-        layer = group.products(prods, (g,))
-        out |= group.products(layer, (b,))
+        layer = set(group.right_translates(prods, g))
+        out.update(group.right_translates(layer, b))
         prods |= layer
     return FiniteSample(group, frozenset(out))
 
@@ -208,7 +208,7 @@ def _chain_sets(group, cands, pool):
             table = defaultdict(list)
             for x in cands:
                 for h in pool.intersection(
-                        group.products(cands, (group.inv(x),))):
+                        group.right_translates(cands, group.inv(x))):
                     table[h].append(x)
         return table.get(g, [])
 
@@ -361,7 +361,7 @@ def extract_pwip_from_chain(chain):
     prods = _subset_products(g, chain.gens)
     out = set()
     for n, x in enumerate(chain.reps):
-        out |= g.products(prods[:2 ** (n + 1)], (x,))
+        out.update(g.right_translates(prods[:2 ** (n + 1)], x))
     result = frozenset(out)
     if not result <= chain.sets[0]:
         raise GroupError("extracted set escapes the top set")

@@ -48,8 +48,9 @@ def test_h_candidates_are_the_thickened_word_balls(spec, name):
         base = group.word_ball(r) | {group.identity()}
         for t in group.clamp_ladder(scale.ladder):
             if group.word_ball_size(t) * len(base) <= 10**5:
-                assert group.word_ball(r + t) == \
-                    group.products(group.word_ball(t), base)
+                assert group.word_ball(r + t) == {
+                    x for b in base
+                    for x in group.right_translates(group.word_ball(t), b)}
                 checked += 1
     assert checked >= scale.f_max + 1
 

@@ -361,6 +361,26 @@ def test_density_accepts_every_spelling_of_z(capsys, tmp_path):
     assert "require the group z" in report["error"]["message"]
 
 
+@pytest.mark.parametrize("recipe", [
+    {"group": "z2sum:6", "kind": "wn", "support": 2},
+    {"group": "z^2", "kind": "explicit", "elements": ["1,2"]},
+], ids=["z2sum-wn", "z2-explicit"])
+def test_density_pwip_refuses_groups_other_than_z(capsys, tmp_path, recipe):
+    # density-pwip resolves its recipe in z, so a recipe naming another
+    # group is refused as density refuses it, after the window check
+    spec = tmp_path / "recipe.json"
+    spec.write_text(json.dumps(recipe))
+    for command in (["density"], ["density-pwip", "--depth", "2"]):
+        code, report = invoke_json(capsys, *command, "--set", str(spec))
+        assert code == 2
+        assert report["error"]["message"] == \
+            "density profiles require the group z"
+    code, report = invoke_json(capsys, "density-pwip", "--set", str(spec),
+                               "--window", "-3")
+    assert code == 2
+    assert report["error"]["message"] == "window extent must be >= 0, got -3"
+
+
 def test_pwip_recipe_generator_cap(capsys, tmp_path):
     spec = tmp_path / "pwip.json"
     spec.write_text(json.dumps({

@@ -55,33 +55,46 @@ def test_render_parse_round_trip(group, elements, data):
                          ids=lambda v: getattr(v, "spec", ""))
 @given(data=st.data())
 def test_products_equal_pairwise_mul(group, elements, data):
+    # right_translates(lefts, g) lists a.g for a in lefts, in their order
     lefts = data.draw(st.lists(elements, max_size=6))
     rights = data.draw(st.lists(elements, max_size=6))
     # right factors a^-1 and a^-1.b cancel a left factor a fully or in part
     rights += [group.inv(a) for a in lefts]
     rights += [group.mul(group.inv(a), b) for a in lefts for b in rights[:3]]
-    expected = {group.mul(a, b) for a in lefts for b in rights}
-    assert group.products(lefts, rights) == expected
-    assert group.products(lefts, [group.identity()]) == set(lefts)
+    rights.append(group.identity())
+    for g in rights:
+        assert list(group.right_translates(lefts, g)) == \
+            [group.mul(a, g) for a in lefts]
 
 
 def test_products_wide_masks_and_free_junctions():
     x = XorGroup(4)
     wide = [0b1, 0b1000000, 0b1010101010101]     # wider than m = 4
-    assert x.products(wide, [0b1000001]) == {0b1000000, 0b1, 0b1010100010100}
+    assert list(x.right_translates(wide, 0b1000001)) == \
+        [0b1000000, 0b1, 0b1010100010100]
     f = FreeGroup(3)
-    assert f.products(["abc"], ["CBA", "CBa", "Cb", "a"]) == {"", "aa", "abb", "abca"}
-    assert f.products(["", "C", "abc"], [""]) == {"", "C", "abc"}
+    assert [w for g in ["CBA", "CBa", "Cb", "a"]
+            for w in f.right_translates(["abc"], g)] == ["", "aa", "abb", "abca"]
+    assert list(f.right_translates(["", "C", "abc"], "")) == ["", "C", "abc"]
 
 
-def test_every_family_has_bulk_kernels():
-    # every family has its own kernels, none a mul call per element
+def test_every_family_has_bulk_kernels(monkeypatch):
+    # every family has its own left translates, and free:k its own right
+    # translates (the abelian default is the left kernel); neither calls
+    # mul per element (these words do not cancel)
     families = Group.__subclasses__()
     assert {IntGroup, LatticeGroup, XorGroup, FreeGroup} <= set(families)
     for family in families:
-        for name in ("translates", "products"):
-            assert getattr(family, name) is not getattr(Group, name), \
-                (family.__name__, name)
+        assert family.translates is not Group.translates, family.__name__
+    assert FreeGroup.right_translates is not Group.right_translates
+    for group in (IntGroup(), LatticeGroup(2), XorGroup(4), FreeGroup(2)):
+        gens = group.generators()
+        g, xs = gens[0], [group.identity(), gens[0], gens[-1]]
+        lefts = [group.mul(g, x) for x in xs]
+        rights = [group.mul(x, g) for x in xs]
+        _refuse(monkeypatch, type(group), "mul")
+        assert list(group.translates(g, xs)) == lefts
+        assert list(group.right_translates(xs, g)) == rights
 
 
 def _free_words(rank):
@@ -568,7 +581,7 @@ def test_z_window_pools_come_from_the_mask(monkeypatch, extent):
     window = sorted(z.window_elements(extent))
     expected = _norm_order(z, range(-2 * extent, 2 * extent + 1))[:4096]
     balls = _spy(monkeypatch, Group, "_ball_quotients")
-    _refuse(monkeypatch, IntGroup, "products")
+    _refuse(monkeypatch, IntGroup, "right_translates")
     assert z.quotient_pool(window, 4096) == expected
     assert balls == ([] if extent == 500 else [None])
 
@@ -577,7 +590,7 @@ def test_z_windows_past_the_cap_take_the_balls(monkeypatch):
     z = IntGroup()
     window = sorted(z.window_elements(10**5))
     masks = _spy(monkeypatch, IntGroup, "_dense_quotients")
-    _refuse(monkeypatch, IntGroup, "products")
+    _refuse(monkeypatch, IntGroup, "right_translates")
     assert z.quotient_pool(window, 64) == _norm_order(z, range(-32, 33))[:64]
     assert masks == [None]      # declined before forming the mask
 
@@ -594,9 +607,9 @@ def test_z_mask_path_switches_at_1024_then_64n(monkeypatch):
     at = [*range(19), 1280]
     expected = _norm_order(z, {y - x for x in at for y in at})
     monkeypatch.setattr(Group, "_ball_quotients", lambda *args: None)
-    _refuse(monkeypatch, IntGroup, "products")
+    _refuse(monkeypatch, IntGroup, "right_translates")
     assert z.quotient_pool(at, 400) == expected
-    with pytest.raises(AssertionError, match="products"):
+    with pytest.raises(AssertionError, match="right_translates"):
         z.quotient_pool(at[:-1] + [1281], 400)
 
 

@@ -369,6 +369,24 @@ def test_detect_pwip_is_the_walks_witness_at_its_depth(family, data):
             assert not oracles.pwip_exists(group, elems, depth + 1)
 
 
+@settings(max_examples=60, deadline=None)
+@given(elems=st.frozensets(st.integers(-500, 500), min_size=8, max_size=16),
+       top=st.integers(3, 4))
+def test_walk_stops_short_only_without_a_witness(elems, top):
+    # sparse z sets seldom repeat a difference, and a depth-3 witness
+    # needs one repeated twice, so the walk mostly stops at depth 2 with
+    # every quotient in its pool; the oracle must find no deeper witness
+    sample = FiniteSample(Z, elems)
+    scale = dataclasses.replace(preset("small"), pool_cap=4096)
+    assert len(sample.quotient_pool(4096)) < 4096
+    depth, witness = deepest_pwip(sample, top, scale)
+    assert witness == detect_pwip(sample, depth, scale)
+    assert witness.validate(elems)
+    if depth < top:
+        assert detect_pwip(sample, depth + 1, scale) is None
+        assert not oracles.pwip_exists(Z, elems, depth + 1)
+
+
 def test_witness_validate_rejects_tampering():
     sample = gen_pwip(Z, (10, 100, 1000), (1, 2, 3))
     witness = detect_pwip(sample, 3)
