@@ -9,6 +9,7 @@ downstream JSON tooling.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -302,14 +303,20 @@ COMMANDS = {
 
 
 def build_parser(command=None):
-    """The argument parser; with a known ``command``, only that
-    subcommand is registered (help and error texts for other input need
-    every subcommand)."""
+    """The argument parser, built once per process for each ``command``;
+    with a known ``command``, only that subcommand is registered (help
+    and error texts for other input need every subcommand, and all such
+    input shares one full parser)."""
+    return _parser(command if command in COMMANDS else None)
+
+
+@functools.cache
+def _parser(command):
     parser = _Parser(
         prog="coarsesets",
         description="Finite-scale verdicts for thin, sparse and scattered subsets of groups")
     sub = parser.add_subparsers(dest="command", required=True)
-    names = [command] if command in COMMANDS else COMMANDS
+    names = [command] if command else COMMANDS
     for name in names:
         fn, text, set_args, extra = COMMANDS[name]
         p = sub.add_parser(name, help=text)

@@ -8,6 +8,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 import coarsesets
+from coarsesets import structures
 from coarsesets.cli import COMMANDS, build_parser, run
 from coarsesets.geometry import chain_component, word_radius
 from coarsesets.recipes import SetSpec
@@ -466,12 +467,51 @@ def test_parser_registers_only_the_named_subcommand(capsys):
     assert _subcommands(build_parser("thin")) == ["thin"]
     for other in (None, "bogus", "-h"):
         assert _subcommands(build_parser(other)) == list(COMMANDS)
+    # one parser per subcommand per process, and one full parser for
+    # every other first argument, so the cache stays bounded
+    assert build_parser("thin") is build_parser("thin")
+    assert build_parser(None) is build_parser("bogus") is build_parser("-h")
     # an unknown command still gets the full parser and its choices
     code, out, err = invoke(capsys, "bogus")
     assert code == 2
     message = json.loads(err)["error"]["message"]
     assert all(repr(name) in message for name in COMMANDS)
     code, out, err = invoke(capsys, "--help")
+    assert code == 0
+    assert all(name in out for name in COMMANDS)
+
+
+def test_reused_parsers_share_no_state(capsys, monkeypatch, tmp_path):
+    ip_set = ("--group", "z", "--kind", "ip", "--generators", "1,10,100")
+    budgets = []
+    detect = structures.detect_pwip
+
+    def spy(sample, depth, scale):
+        budgets.append(scale.name)
+        return detect(sample, depth, scale=scale)
+
+    monkeypatch.setattr(structures, "detect_pwip", spy)
+    target = tmp_path / "report.json"
+    code, report = invoke_json(capsys, "detect-pwip", *ip_set, "--depth",
+                               "1", "--budget", "small", "--out", str(target))
+    assert (code, report["depth"]) == (0, "1")
+    assert json.loads(target.read_text()) == report
+    target.write_text("untouched")
+    code, report = invoke_json(capsys, "detect-pwip", *ip_set,
+                               "--depth", "2")
+    assert (code, report["depth"]) == (0, "2")
+    assert budgets == ["small", "medium"]
+    assert target.read_text() == "untouched"
+
+    good = ("detect-pwip", *ip_set, "--depth", "3")
+    first = invoke(capsys, *good)
+    code, out, err = invoke(capsys, "detect-pwip", *ip_set, "--depth", "3",
+                            "--no-such-flag")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["kind"] == "error"
+    assert invoke(capsys, *good) == first
+
+    code, out, _ = invoke(capsys, "--help")
     assert code == 0
     assert all(name in out for name in COMMANDS)
 
