@@ -20,15 +20,15 @@ from .groups import FiniteSample, GroupError, word_ball_elements
 
 @dataclass(frozen=True)
 class ThinReport:
-    """A thin degree; ``stable`` is always true, as the degree is by
-    construction an n at which the two windows' exceptional sets
+    """A thin degree; ``stable`` is a class constant, true, as the degree
+    is by construction an n at which the two windows' exceptional sets
     agree."""
 
     f_label: str
     degree: int
     exceptional: tuple
     interior_size: int
-    stable: bool
+    stable = True
 
     def to_json_dict(self, group):
         return {
@@ -77,7 +77,7 @@ def thin_degree(sample, radius, scale):
     # ball_sizes keeps the order of the interior
     return ThinReport(radius.describe(), n,
                       tuple(y for y, a in inner_sizes.items() if a > n),
-                      len(inner_sizes), True)
+                      len(inner_sizes))
 
 
 @dataclass(frozen=True)

@@ -53,10 +53,8 @@ def _parse_radius(group, text):
     text = text.strip()
     if text.startswith("wordball:"):
         return word_radius(group, int(text.split(":", 1)[1]))
-    parts = [p for p in text.split(group.radius_separator) if p]
-    if not parts:
-        return Radius(group, frozenset(), "{}")
-    return Radius(group, frozenset(group.parse(p) for p in parts))
+    parts = text.split(group.radius_separator)
+    return Radius(group, frozenset(group.parse(p) for p in parts if p))
 
 
 def _recipe(args):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from . import budgets, structures
+from . import structures
 from .groups import FiniteSample, GroupError, IntGroup
 
 
@@ -83,13 +83,12 @@ def density_pwip_experiment(recipe, depth, window_extent=None, scale=None):
         window_extent = recipe.window_extent
     if window_extent is None:
         window_extent = 100
-    scale = scale or budgets.preset("large")
     group = IntGroup()
     window = group.window(window_extent)
     _require_z(recipe)
     sample = recipe.resolve(group, window)
-    clipped = FiniteSample.from_ordered(
-        group, group.interior(window, sample.ordered, 0), window, recipe)
+    clipped = FiniteSample.from_ordered(group, sample.interior(0), window,
+                                        recipe)
     profile = upper_density_profile(recipe, max(window_extent, 1000))
     achieved, witness = structures.deepest_pwip(clipped, depth, scale)
     return {

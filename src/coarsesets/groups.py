@@ -542,15 +542,10 @@ class XorGroup(Group):
         text = text.strip()
         if not text or set(text) - {"0", "1"}:
             raise GroupError(f"bad bit string: {text!r}")
-        mask = 0
-        for j, ch in enumerate(text):
-            if ch == "1":
-                mask |= 1 << j
-        return mask
+        return int(text[::-1], 2)
 
     def render(self, el):
-        width = max(self.m, el.bit_length())
-        return "".join("1" if el >> j & 1 else "0" for j in range(width))
+        return format(el, "b")[::-1].ljust(self.m, "0")
 
     norm = staticmethod(int.bit_count)
 

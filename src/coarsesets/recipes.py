@@ -20,6 +20,14 @@ from .groups import (FiniteSample, GroupError, IntGroup, XorGroup,
 
 KINDS = ("explicit", "ip", "pwip", "wn", "cantor", "periodic", "powers", "window")
 
+# kind -> (group class, its name in the refusal) for the kinds of one family
+_FAMILY_KINDS = {
+    "periodic": (IntGroup, "the group z"),
+    "powers": (IntGroup, "the group z"),
+    "cantor": (IntGroup, "the group z"),
+    "wn": (XorGroup, "a z2sum group"),
+}
+
 
 def integer(value, name):
     """``value`` as an int: a JSON integer (not a bool) or a string of one."""
@@ -96,16 +104,16 @@ class SetSpec:
 
     def _elements(self, group, window):
         kind = self.kind
+        if kind in _FAMILY_KINDS:
+            family, name = _FAMILY_KINDS[kind]
+            if not isinstance(group, family):
+                raise GroupError(f"{kind} recipes require {name}")
         if kind == "explicit":
             return {group.parse(t) for t in self.strings("elements")}
         if kind == "periodic":
-            if not isinstance(group, IntGroup):
-                raise GroupError("periodic recipes require the group z")
             q, residues = self.periodic()
             return {x for x in range(-window, window + 1) if x % q in residues}
         if kind == "powers":
-            if not isinstance(group, IntGroup):
-                raise GroupError("powers recipes require the group z")
             b = self.base(None)
             out = set()
             v = 1
@@ -136,13 +144,9 @@ class SetSpec:
             shifts = [group.parse(t) for t in self.strings("shifts")]
             return structures.gen_pwip(group, gens, shifts).elements
         if kind == "wn":
-            if not isinstance(group, XorGroup):
-                raise GroupError("wn recipes require a z2sum group")
             n = self.integer("support")
             return structures.gen_wn(window, n).elements
         if kind == "cantor":
-            if not isinstance(group, IntGroup):
-                raise GroupError("cantor recipes require the group z")
             if self.params.get("levels") == "auto":
                 levels = structures.cantor_levels_for_window(window)
             else:

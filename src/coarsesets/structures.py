@@ -26,15 +26,6 @@ from .groups import (FiniteSample, GroupError, IntGroup, XorGroup,
 MAX_GENERATORS = 20
 
 
-def _check_injective(group, gens):
-    seen = set()
-    for g in gens:
-        group.validate(g)
-        if g in seen:
-            raise GroupError("generator sequence must be injective")
-        seen.add(g)
-
-
 def _subset_products(group, gens):
     """Products over the index subsets of gens, by prefix doubling.
 
@@ -71,7 +62,10 @@ def gen_pwip(group, gens, shifts):
         raise GroupError("need at least one generator")
     if len(gens) > MAX_GENERATORS:
         raise GroupError(f"at most {MAX_GENERATORS} generators")
-    _check_injective(group, gens)
+    for g in gens:
+        group.validate(g)
+    if len(set(gens)) != len(gens):
+        raise GroupError("generator sequence must be injective")
     for b in shifts:
         group.validate(b)
     # layer j holds the products whose largest index is j, merged as

@@ -207,6 +207,8 @@ def test_xor_group_bits():
     assert g.parse("1010") == 0b0101
     assert g.render(0b0101) == "1010"
     assert g.render(0b10101) == "10101"      # wider than declared, still valid
+    assert g.render(0) == "0000"
+    assert g.parse(" 0000011 ") == 0b1100000
     assert XorGroup.norm(0b1101) == 3
     assert g.generators() == (1, 2, 4, 8)
 

@@ -7,20 +7,29 @@ and the whole isolated-balls report.  Right translation by h preserves
 every restricted-ball size, since B(gh, F) = B(g, F).h, and the pwip
 depth: (yh)(xh)^-1 = yx^-1, so the quotient pool does not change, and
 the search is exhaustive within it.
+
+The sparse verdict and the pwip depth should survive every automorphism
+too, and every verdict an isomorphism that keeps word lengths and
+windows, such as n -> (n,) -> a^n from z to z^1 and free:1.  Where a
+truncation in ``sort_key`` order or a family's own scale rule breaks
+that, the case is pinned as a strict xfail.
 """
 
+import random
 from dataclasses import dataclass
+from functools import cache
 from operator import neg
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coarsesets.budgets import preset
-from coarsesets.classifiers import (isolated_balls_verdict, sparse_witness,
-                                    thin_degree)
+from coarsesets.classifiers import (classify, isolated_balls_verdict,
+                                    sparse_witness, thin_degree)
 from coarsesets.geometry import Radius, word_radius
 from coarsesets.groups import (FiniteSample, FreeGroup, IntGroup,
                                LatticeGroup, XorGroup, reduce_word)
+from coarsesets.recipes import SetSpec
 from coarsesets.structures import deepest_pwip
 
 SMALL = preset("small")
@@ -68,8 +77,20 @@ def _bit_permutations(m):
 
 
 def _letters(table):
-    return st.just(lambda w: w.translate(str.maketrans(table)))
+    table = str.maketrans(table)
+    return lambda w: w.translate(table)
 
+
+def _swap(p):
+    return p[1], p[0]
+
+
+def _sign_flip(p):
+    return -p[0], p[1]
+
+
+_A_B = _letters({"a": "b", "b": "a", "A": "B", "B": "A"})
+_A_INV = _letters({"a": "A", "A": "a"})
 
 # name -> (group, window extent, interior points at the small margin,
 # points of the enlarged window, strategy of the automorphism)
@@ -77,15 +98,13 @@ AUTOMORPHISMS = {
     "z/negation": (IntGroup(), 40, st.integers(-10, 10),
                    st.integers(-160, 160), st.just(neg)),
     "z^2/swap": (LatticeGroup(2), 34, _points(4), _points(40),
-                 st.just(lambda p: (p[1], p[0]))),
+                 st.just(_swap)),
     "z^2/sign-flip": (LatticeGroup(2), 34, _points(4), _points(40),
-                      st.just(lambda p: (-p[0], p[1]))),
+                      st.just(_sign_flip)),
     "z2sum:5/bits": (_XOR, 5, st.integers(0, 31), st.integers(0, 127),
                      _bit_permutations(_XOR.m)),
-    "free:2/a-b": (FreeGroup(2), 8, _words(1), _words(12),
-                   _letters({"a": "b", "b": "a", "A": "B", "B": "A"})),
-    "free:2/a-A": (FreeGroup(2), 8, _words(1), _words(12),
-                   _letters({"a": "A", "A": "a"})),
+    "free:2/a-b": (FreeGroup(2), 8, _words(1), _words(12), st.just(_A_B)),
+    "free:2/a-A": (FreeGroup(2), 8, _words(1), _words(12), st.just(_A_INV)),
 }
 
 
@@ -115,6 +134,171 @@ def test_automorphisms_preserve_thin_and_isolated_balls(name, data):
         (iso_phi.verdict, iso_phi.winning_f, iso_phi.isolated_counts,
          iso_phi.refutations, iso_phi.interior_size)
     assert set(iso_phi.sample_isolated) == set(map(phi, iso.sample_isolated))
+
+
+def _seeded_word(rng, max_size):
+    size = rng.randint(0, max_size)
+    return reduce_word("".join(rng.choices("abAB", k=size)))
+
+
+def _seeded_point(rng, c):
+    return rng.randint(-c, c), rng.randint(-c, c)
+
+
+# name -> (interior point, point of the enlarged window, automorphism),
+# each drawn from a random.Random over the ranges of AUTOMORPHISMS
+SEEDED = {
+    "z/negation": (lambda r: r.randint(-10, 10),
+                   lambda r: r.randint(-160, 160), lambda r: neg),
+    "z^2/swap": (lambda r: _seeded_point(r, 4),
+                 lambda r: _seeded_point(r, 40), lambda r: _swap),
+    "z^2/sign-flip": (lambda r: _seeded_point(r, 4),
+                      lambda r: _seeded_point(r, 40), lambda r: _sign_flip),
+    "z2sum:5/bits": (lambda r: r.randint(0, 31), lambda r: r.randint(0, 127),
+                     lambda r: _permute_bits(r.sample(range(_XOR.m), _XOR.m))),
+    "free:2/a-b": (lambda r: _seeded_word(r, 1),
+                   lambda r: _seeded_word(r, 12), lambda r: _A_B),
+    "free:2/a-A": (lambda r: _seeded_word(r, 1),
+                   lambda r: _seeded_word(r, 12), lambda r: _A_INV),
+}
+SEEDED_POOLS = 24
+
+
+def _seeded_case(name, i):
+    """Pool i of ``name`` and its automorphism: up to 40 interior points
+    and up to 120 points of the enlarged window, dense enough that the
+    sparse verdict goes both ways."""
+    near, far, automorphism = SEEDED[name]
+    rng = random.Random(f"{name}:{i}")
+    pool = frozenset([near(rng) for _ in range(rng.randint(1, 40))]
+                     + [far(rng) for _ in range(rng.randint(0, 120))])
+    return pool, automorphism(rng)
+
+
+# (name, i) -> the seeded case, written out, on which the sparse verdict
+# changes under the automorphism: the X-pool and the candidate cap cut
+# ``sort_key`` order, which the automorphism does not keep
+ENCODING_PINS = {
+    ("z/negation", 9): (frozenset({
+        -158, -157, -153, -147, -145, -140, -136, -133, -127, -125, -120,
+        -101, -98, -93, -92, -90, -89, -87, -71, -70, -67, -56, -55, -53,
+        -50, -49, -47, -42, -40, -34, -32, -20, -19, -17, -9, -8, -7, -4,
+        -2, -1, 1, 2, 6, 8, 9, 15, 17, 29, 30, 32, 33, 35, 36, 38, 40, 41,
+        48, 56, 58, 63, 67, 68, 69, 70, 75, 86, 90, 91, 102, 104, 109, 116,
+        123, 124, 134, 138, 139, 140, 141, 146, 147, 157, 158, 160}), neg),
+    ("z/negation", 18): (frozenset({
+        -158, -157, -150, -143, -140, -137, -136, -134, -126, -125, -115,
+        -114, -112, -104, -101, -98, -90, -89, -86, -84, -77, -76, -73, -69,
+        -66, -65, -64, -61, -57, -56, -55, -48, -47, -41, -38, -37, -36,
+        -22, -21, -20, -18, -10, -9, -8, -7, -6, -4, -3, -2, -1, 0, 1, 2, 4,
+        7, 8, 9, 10, 11, 13, 14, 19, 24, 27, 33, 52, 59, 60, 61, 68, 72, 73,
+        79, 82, 84, 85, 86, 97, 100, 102, 105, 108, 109, 114, 115, 122, 128,
+        133, 135, 137, 140, 141, 145, 152, 153, 158, 159}), neg),
+    ("z/negation", 19): (frozenset({
+        -154, -153, -151, -143, -135, -134, -128, -125, -121, -118, -116,
+        -107, -102, -101, -98, -97, -92, -84, -81, -80, -67, -64, -54, -53,
+        -48, -30, -16, -14, -13, -10, -9, -8, -7, -6, -5, -4, -3, -2, -1, 0,
+        1, 3, 4, 5, 6, 7, 8, 9, 10, 19, 20, 25, 28, 32, 37, 39, 40, 41, 65,
+        68, 71, 75, 77, 87, 88, 94, 96, 98, 102, 105, 106, 109, 116, 122,
+        127, 133, 134, 139, 141, 146, 149, 153, 154, 155, 156, 160}), neg),
+    ("z2sum:5/bits", 15): (frozenset({
+        6, 9, 10, 11, 13, 14, 16, 19, 21, 22, 25, 30, 31, 37, 42, 44, 46,
+        49, 56, 58, 59, 62, 64, 68, 69, 70, 73, 77, 79, 81, 82, 85, 90, 94,
+        99, 107, 108, 110, 111, 112, 113, 118, 119, 120, 122, 127}),
+        _permute_bits((4, 2, 1, 3, 0))),
+}
+
+
+def _seeded_params():
+    for name in sorted(SEEDED):
+        for i in range(SEEDED_POOLS):
+            marks = ()
+            if (name, i) in ENCODING_PINS:
+                marks = pytest.mark.xfail(
+                    strict=True, raises=AssertionError,
+                    reason="the sparse X-pool and candidates "
+                    "are cut in sort_key order, which the automorphism "
+                    "does not preserve")
+            yield pytest.param(name, i, marks=marks, id=f"{name}-{i}")
+
+
+@pytest.mark.parametrize("name, i", _seeded_params())
+def test_automorphisms_preserve_the_sparse_verdict_and_pwip_depth(name, i):
+    group, extent = AUTOMORPHISMS[name][:2]
+    pool, phi = ENCODING_PINS.get((name, i)) or _seeded_case(name, i)
+    image = frozenset(map(phi, pool))
+    assert len(image) == len(pool)
+    samples = (Truncation(pool).resolve(group, extent),
+               Truncation(image).resolve(group, extent))
+    sparse, sparse_phi = (sparse_witness(s, s, SMALL).verdict
+                          for s in samples)
+    depth, depth_phi = (deepest_pwip(s, SMALL.max_depth, SMALL)[0]
+                        for s in samples)
+    assert (sparse, depth) == (sparse_phi, depth_phi)
+
+
+# name -> (z recipe, window): the sets measured for the maps z -> z^1 ->
+# free:1, n -> (n,) -> a^n, which keep word lengths and windows
+Z_SETS = {
+    "periodic-4-01": (SetSpec.make("z", "periodic", modulus=4,
+                                   residues=["0", "1"]), 300),
+    "periodic-3-0": (SetSpec.make("z", "periodic", modulus=3,
+                                  residues=["0"]), 300),
+    "powers-2": (SetSpec.make("z", "powers", base=2), 512),
+    "cantor-auto": (SetSpec.make("z", "cantor", levels="auto"), 500),
+    "window-200": (SetSpec.make("z", "window"), 200),
+    "explicit-13": (SetSpec.make("z", "explicit", elements=[
+        "0", "1", "3", "7", "12", "20", "30", "44", "65", "80", "96", "122",
+        "147"]), 200),
+}
+ISOMORPHIC = {
+    "z": (IntGroup(), lambda n: n),
+    "z^1": (LatticeGroup(1), lambda n: (n,)),
+    "free:1": (FreeGroup(1), lambda n: "a" * n if n >= 0 else "A" * -n),
+}
+
+
+@cache
+def _classify_summary(name, budget, family):
+    """The verdicts of ``classify`` on the image of the z set ``name`` in
+    ``family``.  The set is resolved at 4 times its window, so every
+    family's enlarged resample keeps the points beyond the window."""
+    recipe, window = Z_SETS[name]
+    group, phi = ISOMORPHIC[family]
+    pool = frozenset(map(phi, recipe.resolve(IntGroup(), 4 * window)))
+    rep = classify(Truncation(pool).resolve(group, window), preset(budget))
+    iso = rep["isolated_balls"]
+    return (rep["thin"]["degree"],
+            [(p["verdict"], p["witness"] and len(p["witness"]))
+             for p in rep["sparse"]["probes"]],
+            iso["verdict"], iso["winning_radius"],
+            [c["count"] for c in iso["isolated_counts"]],
+            rep["pwip"]["max_depth"])
+
+
+# the only set on which free:1 answers as z does, at both budgets
+FREE1_AGREES = {"window-200"}
+
+
+def _isomorphism_params(family):
+    for name in Z_SETS:
+        for budget in ("small", "medium"):
+            marks = ()
+            if family == "free:1" and name not in FREE1_AGREES:
+                marks = pytest.mark.xfail(
+                    strict=True, raises=AssertionError,
+                    reason="FreeGroup.enlarged_extent adds 1 where z grows "
+                    "the window 4x, and FreeGroup.clamp_ladder uses rungs "
+                    "1, 2, ... where z uses 1, 3, 9, ...")
+            yield pytest.param(family, name, budget, marks=marks,
+                               id=f"{family}-{name}-{budget}")
+
+
+@pytest.mark.parametrize("family, name, budget", [
+    *_isomorphism_params("z^1"), *_isomorphism_params("free:1")])
+def test_isomorphic_groups_give_identical_verdicts(family, name, budget):
+    assert _classify_summary(name, budget, family) == \
+        _classify_summary(name, budget, "z")
 
 
 # name -> (group, element strategy)

@@ -44,6 +44,20 @@ def test_gen_ip_small_cases():
         gen_ip(Z, ())
 
 
+@pytest.mark.parametrize("gens, shifts, message", [
+    ((1, 2, 1), (0, 0, 0), "generator sequence must be injective"),
+    # every generator is validated before the repeat is refused, and
+    # the shifts after it
+    ((1, 1, 2.5), (0, 0, 0), "Z element must be int"),
+    ((1, 1), (0, "x"), "generator sequence must be injective"),
+    ((1, 2), (0, "x"), "Z element must be int"),
+], ids=["repeat", "repeat-then-bad-generator", "repeat-and-bad-shift",
+        "bad-shift"])
+def test_gen_pwip_refusals(gens, shifts, message):
+    with pytest.raises(GroupError, match=message):
+        gen_pwip(Z, gens, shifts)
+
+
 def test_gen_ip_prefix_monotone():
     rng = random.Random(3)
     for _ in range(20):
