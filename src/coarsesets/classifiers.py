@@ -101,15 +101,6 @@ class SparseReport:
         }
 
 
-def _quotient_intersection(group, key, elements):
-    """A n (n_{q in key} q.A), A the set ``elements``; A itself for the
-    empty key."""
-    out = elements
-    for q in key:
-        out = out.intersection(group.translates(q, elements))
-    return out
-
-
 def sparse_witness(sample, xset, scale):
     """Smallest F inside X whose translate intersection with the sample
     is window-stable-finite.
@@ -120,8 +111,9 @@ def sparse_witness(sample, xset, scale):
     Stability compares the intersection size against the sample
     regenerated in the enlarged window.  By left invariance,
     n_{g in F} gA = F[0].(A n n_{g in F[1:]} (F[0]^-1.g)A), so both sizes
-    depend only on the quotients F[0]^-1.g and are computed once per
-    quotient tuple; only the winning F translates its intersection.
+    depend only on the quotients F[0]^-1.g and are counted once per
+    quotient tuple, by one ``Group.overlap_counter`` per window; only the
+    winning F builds and translates its intersection.
     """
     group = sample.group
     if xset.group != group:
@@ -129,7 +121,8 @@ def sparse_witness(sample, xset, scale):
     if not xset.elements:
         raise GroupError("sparse witness needs a nonempty X")
     pool = xset.ordered[: max(scale.pool_cap // 16, 8)]
-    samples = (sample.elements, sample.outer.elements)
+    counters = (group.overlap_counter(sample.elements),
+                group.overlap_counter(sample.outer.elements))
     sizes = {}                  # quotients -> (inner, outer) size
     candidates = islice(chain.from_iterable(
         combinations(pool, k) for k in (1, 2, 3)), scale.pool_cap)
@@ -137,14 +130,12 @@ def sparse_witness(sample, xset, scale):
         head = group.inv(F[0])
         key = tuple(group.translates(head, F[1:]))
         if key not in sizes:
-            sizes[key] = tuple(
-                len(_quotient_intersection(group, key, els))
-                for els in samples)
+            sizes[key] = tuple(count(key) for count in counters)
         inner_n, outer_n = sizes[key]
         if inner_n != outer_n:
             continue
         inner_i = list(group.translates(
-            F[0], _quotient_intersection(group, key, sample.elements)))
+            F[0], group.overlap(sample.elements, key)))
         return SparseReport("WITNESS_FOUND", F,
                             tuple(group.sorted(inner_i)),
                             len(inner_i), checked)

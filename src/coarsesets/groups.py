@@ -10,11 +10,12 @@ Elements are plain payloads (int, tuple of ints, int bit mask, str);
 all operations live on the Group object, which is immutable.  Everything
 that differs between families (arithmetic, encodings, word balls, the
 finite windows, budget ladders, the default window, the bulk translate,
-interior, ball-size and chain-partition kernels, and z's quotient pool
-read from a bit mask) is a method or attribute of the family's Group
-subclass, so a new family is one new subclass.  Every family has its
-own ``translates``, and free:k its own ``right_translates``, so none
-pays a ``mul`` call per element.  A window is its integer extent,
+interior, ball-size, chain-partition and overlap-size kernels, and z's
+quotient pool and overlap sizes read from one bit mask of the sample)
+is a method or attribute of the family's Group subclass, so a new
+family is one new subclass.  Every family has its own ``translates``,
+and free:k its own ``right_translates``, so none pays a ``mul`` call
+per element.  A window is its integer extent,
 and the group answers every question about it.  ``window_elements``
 generates it in ``sort_key`` order, which a window sample keeps as its
 ``ordered`` tuple, so no window is ever sorted.  ``interior`` is its one
@@ -248,6 +249,21 @@ class Group:
             r = max(2 * r, 1)
         return None
 
+    def overlap(self, elements, key):
+        """A n (n_{q in key} q.A), A the set ``elements``: A itself for
+        the empty key, cut by one ``translates`` pass per quotient."""
+        out = elements
+        for q in key:
+            out = out.intersection(self.translates(q, elements))
+        return out
+
+    def overlap_counter(self, elements):
+        """The map from a quotient tuple ``key`` to the size of
+        ``overlap(elements, key)``, for the set ``elements``: the kernel
+        for the sizes a sparse search compares.  This default builds
+        each overlap; z reads them off one bit mask."""
+        return lambda key: len(self.overlap(elements, key))
+
     def ball_sizes(self, sample, points, steps):
         """{y: |Y n steps.y|} for every y in the sequence ``points``, in
         its order, Y the sample's set.  With fewer steps than Y, each step
@@ -296,6 +312,15 @@ class Group:
         return comps
 
 
+def _bit_mask(elements, lo, hi):
+    """The int whose bit a - lo is set for each integer a in ``elements``,
+    all in [lo, hi]: z's one mask, written as a binary numeral."""
+    digits = bytearray(b"0") * (hi - lo + 1)     # bit hi - lo first
+    for a in elements:
+        digits[hi - a] = 49                     # ord("1")
+    return int(digits, 2)
+
+
 @dataclass(frozen=True)
 class IntGroup(Group):
     default_extent = 512
@@ -314,10 +339,9 @@ class IntGroup(Group):
         return map(add, repeat(g), xs)
 
     def _dense_quotients(self, elements, cap, words):
-        # bit o of ``mask`` marks lo + o in the sample, and bit d of
-        # ``diffs`` is set exactly when some y - x = d >= 0, so its low set
-        # bits 0, d1, d2, ... give the pool 0, -d1, d1, -d2, d2, ... in
-        # norm_sorted order.  The n shifts and ORs of span-bit integers
+        # bit d of ``diffs`` is set exactly when some y - x = d >= 0, so its
+        # low set bits 0, d1, d2, ... give the pool 0, -d1, d1, -d2, d2, ...
+        # in norm_sorted order.  The n shifts and ORs of span-bit integers
         # cost n * span / 64 word operations in C.  n distinct integers
         # span at least n - 1, which declines a large sample without a pass
         n = len(elements)
@@ -327,18 +351,38 @@ class IntGroup(Group):
         span = max(elements) - lo
         if n * span > 64 * words:
             return None
-        offsets = [a - lo for a in elements]
-        digits = bytearray(b"0") * (span + 1)      # most significant first
-        for o in offsets:
-            digits[span - o] = ord("1")
-        mask = int(digits, 2)
-        diffs = reduce(or_, map(mask.__rshift__, offsets))
+        mask = _bit_mask(elements, lo, lo + span)
+        diffs = reduce(or_, map(mask.__rshift__, [a - lo for a in elements]))
         bits = format(diffs, "b")
         top = len(bits) - 1                         # bits[top - d] is bit d
         ds, i = [], top
         while len(ds) < cap // 2 and (i := bits.rfind("1", 0, i)) >= 0:
             ds.append(top - i)
         return [0, *chain.from_iterable(zip(map(neg, ds), ds))][:cap]
+
+    def overlap_counter(self, elements):
+        # with bit o of ``mask`` marking lo + o in A, bit o of mask << q
+        # marks lo + o in q.A, so each size is one AND and one popcount
+        # per quotient: span / 64 word operations in C against the n set
+        # probes of a translate, hence the mask up to span 64n.  A
+        # quotient past the span meets nothing and builds no shifted mask
+        if not elements:
+            return super().overlap_counter(elements)
+        lo, hi = min(elements), max(elements)
+        span = hi - lo
+        if span > 64 * len(elements):
+            return super().overlap_counter(elements)
+        mask = _bit_mask(elements, lo, hi)
+
+        def count(key):
+            out = mask
+            for q in key:
+                if abs(q) > span:
+                    return 0
+                out &= mask << q if q >= 0 else mask >> -q
+            return out.bit_count()
+
+        return count
 
     def ball_sizes(self, sample, points, steps):
         # steps forming an interval [lo, hi] (every word ball): count the

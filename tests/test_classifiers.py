@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coarsesets import classifiers
+from coarsesets import classifiers, groups
 from coarsesets.budgets import Scale, preset
 from coarsesets.classifiers import (SparseReport, classify,
                                     isolated_balls_verdict, sparse_witness,
@@ -263,6 +263,28 @@ def test_sparse_witness_matches_definition(family, data):
         st.sampled_from(universe), min_size=1, max_size=10, unique=True))))
     assert sparse_witness(sample, xset, SMALL) == \
         _sparse_reference(sample, xset, SMALL)
+
+
+@pytest.mark.parametrize("window, masks", [
+    (200, 1),       # 5 powers over span 80 (mask), 7 over span 728 (set)
+    (10**5, 0),     # 11 and 12 powers, both far above span 64n (set)
+])
+@pytest.mark.parametrize("xs", [None, {0, 2, 8, 26, 80, 242, 700}])
+@pytest.mark.parametrize("scale", [SMALL, MEDIUM], ids=["small", "medium"])
+def test_sparse_witness_matches_definition_across_kernels(
+        monkeypatch, window, masks, xs, scale):
+    """The powers of 3 whose two windows count their sizes with
+    different z kernels, or both with the set one (X = A when ``xs`` is
+    None)."""
+    sample = resolved("powers", base=3, window=window)
+    xset = sample if xs is None else FiniteSample(Z, frozenset(xs))
+    built = []
+    bit_mask = groups._bit_mask
+    monkeypatch.setattr(groups, "_bit_mask",
+                        lambda *args: built.append(args) or bit_mask(*args))
+    assert sparse_witness(sample, xset, scale) == \
+        _sparse_reference(sample, xset, scale)
+    assert len(built) == masks
 
 
 def test_sparse_candidates_stop_at_the_pool_cap():

@@ -615,6 +615,61 @@ def test_z_mask_path_switches_at_1024_then_64n(monkeypatch):
         z.quotient_pool(at[:-1] + [1281], 400)
 
 
+def _overlap_size(elements, key):
+    """|A n (n_{q in key} q + A)| from the definition, on z."""
+    return sum(all(a - q in elements for q in key) for a in elements)
+
+
+@st.composite
+def _z_overlap_cases(draw):
+    """A z set of n elements, dense (span <= 64n, the mask's side; at
+    span 2n-4n most pairs of differences meet, which a key of two
+    quotients needs to tell q.A from q^-1.A) or wide (in +-10^6), and
+    keys of 0 to 2 quotients drawn from 0, the set's own differences,
+    and quotients of either sign past its span."""
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        lo = draw(st.integers(-10**4, 10**4))
+        width = draw(st.integers(2 * n, 4 * n) | st.just(64 * n))
+        values = st.integers(lo, lo + width)
+    else:
+        values = st.integers(-10**6, 10**6)
+    elements = draw(st.lists(values, min_size=n, max_size=n, unique=True))
+    span = max(elements) - min(elements)
+    picks = st.sampled_from(elements)
+    quotients = (st.just(0)
+                 | st.builds(lambda y, x: y - x, picks, picks)
+                 | st.integers(-span - 2, span + 2)
+                 | st.integers(span + 1, 10**12)
+                 | st.integers(-10**12, -span - 1))
+    keys = st.lists(quotients, max_size=2).map(tuple)
+    return frozenset(elements), draw(st.lists(keys, min_size=1, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_z_overlap_cases())
+def test_z_overlap_counter_matches_the_set_kernel(case):
+    elements, keys = case
+    z = IntGroup()
+    mask, base = z.overlap_counter(elements), Group.overlap_counter(z, elements)
+    for key in keys:
+        assert mask(key) == base(key) == _overlap_size(elements, key)
+
+
+def test_z_overlap_counter_switches_at_64n(monkeypatch):
+    # n = 20: at span 64n = 1280 the sizes come off the mask, with no
+    # translate; at 64n + 1 the set kernel translates
+    z = IntGroup()
+    keys = [(), (0,), (1,), (-1, 2), (1280,), (-1280,), (1281,), (-3, 10**12)]
+    at = frozenset([*range(19), 1280])
+    expected = [_overlap_size(at, key) for key in keys]
+    assert expected[:5] == [20, 20, 18, 16, 1]
+    _refuse(monkeypatch, IntGroup, "translates")
+    assert list(map(z.overlap_counter(at), keys)) == expected
+    with pytest.raises(AssertionError, match="translates"):
+        z.overlap_counter(at - {1280} | {1281})((1,))
+
+
 @pytest.mark.parametrize("group", [g for g, _ in FAMILY_WINDOWS],
                          ids=lambda g: g.spec)
 def test_quotient_pool_of_no_elements_is_empty(group):
