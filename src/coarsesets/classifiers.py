@@ -11,6 +11,7 @@ carries the scale it was computed at.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations, islice
 
 from . import structures
@@ -63,8 +64,11 @@ def thin_degree(sample, radius, scale):
         raise GroupError("window too small for the interior margin")
     outer = sample.outer
     steps = radius.elements | {group.identity()}
-    inner_sizes = group.ball_sizes(sample, interior, steps)
-    outer_sizes = group.ball_sizes(outer, outer.interior(margin), steps)
+    # the windows are joined by point; a dict keeps the interior's order
+    inner_sizes, outer_sizes = (
+        dict(zip(points, group.ball_sizes(window, points, steps)))
+        for window, points in ((sample, interior),
+                               (outer, outer.interior(margin))))
     n = max(chain((1,),
                   (a for y, a in inner_sizes.items() if y not in outer_sizes),
                   (b for y, b in outer_sizes.items() if y not in inner_sizes)))
@@ -74,7 +78,6 @@ def thin_degree(sample, radius, scale):
         if lo > n:
             break
         n = max(n, hi)
-    # ball_sizes keeps the order of the interior
     return ThinReport(radius.describe(), n,
                       tuple(y for y, a in inner_sizes.items() if a > n),
                       len(inner_sizes))
@@ -188,20 +191,24 @@ def isolated_balls_verdict(sample, scale, ambient=None):
         raise GroupError("interior empty at the requested margin")
     refutations = []
     universe_name = "SAMPLE" if ambient is None else "AMBIENT"
+    rungs = group.clamp_ladder(scale.ladder)
+    # the interior's ball sizes at word radius s, for the last
+    # len(rungs) + 1 radii: every ladder starts at t = 1, so F(r), sized
+    # as the first H of r - 1, is read back
+    sizes = lru_cache(len(rungs) + 1)(lambda s: group.ball_sizes(
+        universe, interior, word_ball_elements(group, s)))
     for r in range(scale.f_max + 1):
         f_label = f"wordball:{r}"
-        f_sizes = group.ball_sizes(universe, interior,
-                                   word_ball_elements(group, r))
+        f_sizes = sizes(r)
         counts = []
-        for t in group.clamp_ladder(scale.ladder):
+        for t in rungs:
             # H = wordball(r + t) contains F = wordball(r), so
             # B_Y(y,F) <= B_Y(y,H), and B_Y(y,H) <= B_Y(y,F) holds
             # exactly when the two sizes agree.  No H past the first
             # that refutes F is built.
             h_label = f"{f_label}+wordball:{t}"
-            h_sizes = group.ball_sizes(universe, interior,
-                                       word_ball_elements(group, r + t))
-            isolated = [y for y in interior if h_sizes[y] == f_sizes[y]]
+            isolated = [y for y, h, f in zip(interior, sizes(r + t), f_sizes)
+                        if h == f]
             counts.append((h_label, len(isolated)))
             if not isolated:
                 refutations.append((f_label, h_label))

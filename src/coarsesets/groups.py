@@ -9,14 +9,15 @@ are inverses).
 Elements are plain payloads (int, tuple of ints, int bit mask, str);
 all operations live on the Group object, which is immutable.  Everything
 that differs between families (arithmetic, encodings, word balls, the
-finite windows, budget ladders, the default window, the bulk translate,
-interior, ball-size, chain-partition and overlap-size kernels, and z's
-quotient pool and overlap sizes read from one bit mask of the sample)
-is a method or attribute of the family's Group subclass, so a new
-family is one new subclass.  Every family has its own ``translates``,
-and free:k its own ``right_translates``, so none pays a ``mul`` call
-per element.  A window is its integer extent,
-and the group answers every question about it.  ``window_elements``
+finite windows, the budget ladders and window growth of z2sum:m and of
+free:k from rank 2 on, the default window, the bulk translate, interior,
+ball-size (a list in the points' order), chain-partition and
+overlap-size kernels, and z's quotient pool and overlap sizes read from
+one bit mask of the sample) is a method or attribute of the family's
+Group subclass, so a new family is one new subclass.  Every family has
+its own ``translates``, and free:k its own ``right_translates``, so none
+pays a ``mul`` call per element.  A window is its integer extent, and
+the group answers every question about it.  ``window_elements``
 generates it in ``sort_key`` order, which a window sample keeps as its
 ``ordered`` tuple, so no window is ever sorted.  ``interior`` is its one
 membership rule: the elements whose margin word ball the window holds,
@@ -265,7 +266,7 @@ class Group:
         return lambda key: len(self.overlap(elements, key))
 
     def ball_sizes(self, sample, points, steps):
-        """{y: |Y n steps.y|} for every y in the sequence ``points``, in
+        """The list of |Y n steps.y| for y in the sequence ``points``, in
         its order, Y the sample's set.  With fewer steps than Y, each step
         f translates all the points at once and adds its hits f.y in Y to
         their counts.
@@ -273,16 +274,16 @@ class Group:
         size right-translates Y by one element."""
         Y = sample.elements
         if len(steps) <= len(Y):
-            counts = repeat(0)
+            counts = [0] * len(points)
             # a list per step: nesting one lazy map per step overflows the
             # C stack when there are tens of thousands of steps
             for f in steps:
                 counts = list(map(add, counts, map(
                     Y.__contains__, self.translates(f, points))))
-            return dict(zip(points, counts))
+            return counts
         inv = self.inv
-        return {y: len(steps.intersection(self.right_translates(Y, inv(y))))
-                for y in points}
+        return [len(steps.intersection(self.right_translates(Y, inv(y))))
+                for y in points]
 
     def chain_component(self, members, a, steps):
         """The elements of ``members`` reachable from a by steps x -> k.x
@@ -391,8 +392,8 @@ class IntGroup(Group):
             return super().ball_sizes(sample, points, steps)
         lo, hi = min(steps), max(steps)
         order = sample.ordered
-        return {y: bisect_right(order, y + hi) - bisect_left(order, y + lo)
-                for y in points}
+        return [bisect_right(order, y + hi) - bisect_left(order, y + lo)
+                for y in points]
 
     def chain_partition(self, sample, steps):
         # steps {-r, ..., r}, with or without 0: the components are the
@@ -757,12 +758,13 @@ class FreeGroup(Group):
         k2 = 2 * self.rank
         return 1 + sum(k2 * (k2 - 1) ** (i - 1) for i in range(1, r + 1))
 
+    # from rank 2 on, word balls grow exponentially: one letter more, and
+    # consecutive small radii.  free:1 is z written in words: z's rules
     def enlarged_extent(self, extent):
-        return extent + 1
+        return extent + 1 if self.rank > 1 else super().enlarged_extent(extent)
 
     def clamp_ladder(self, ladder):
-        # word balls grow exponentially: consecutive small radii instead
-        return tuple(range(1, len(ladder) + 1))
+        return tuple(range(1, len(ladder) + 1)) if self.rank > 1 else ladder
 
 
 _FAMILIES = {"z^": LatticeGroup, "z2sum:": XorGroup, "free:": FreeGroup}
@@ -845,17 +847,6 @@ class FiniteSample:
         if self.recipe is not None:
             return self.recipe.resolve(self.group, window)
         return FiniteSample(self.group, self.elements, window, None)
-
-    @cached_property
-    def _quotient_pools(self):
-        return {}
-
-    def quotient_pool(self, cap):
-        """``Group.quotient_pool`` of the sample, built once per cap."""
-        pools = self._quotient_pools
-        if cap not in pools:
-            pools[cap] = self.group.quotient_pool(self.ordered, cap)
-        return pools[cap]
 
     @cached_property
     def _interiors(self):

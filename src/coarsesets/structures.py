@@ -240,7 +240,7 @@ def deepest_pwip(sample, max_depth, scale):
     ordered = sample.ordered
     top = min(max_depth, (len(ordered) + 1).bit_length() - 1)
     scale = scale or budgets.preset("large")
-    pool_list = sample.quotient_pool(scale.pool_cap) if top > 0 else []
+    pool_list = group.quotient_pool(ordered, scale.pool_cap) if top > 0 else []
     top = min(top, len(pool_list))
     if top < 1:
         return 0, None

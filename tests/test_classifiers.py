@@ -391,6 +391,78 @@ def test_isolated_balls_ambient():
             MEDIUM, ambient=ambient)
 
 
+def _counted_size_passes(monkeypatch, group):
+    """The word radii the isolated-balls verdict sizes, one entry per
+    ``ball_sizes`` pass; the pass is the method the group's class
+    resolves, the ``IntGroup`` override on z and the base elsewhere."""
+    radii, passes = [], []
+    cls = type(group)
+    size, ball = cls.ball_sizes, classifiers.word_ball_elements
+
+    def counted_size(self, sample, points, steps):
+        passes.append(len(steps))
+        return size(self, sample, points, steps)
+
+    def counted_ball(group, r):
+        radii.append(r)
+        return ball(group, r)
+
+    monkeypatch.setattr(cls, "ball_sizes", counted_size)
+    monkeypatch.setattr(classifiers, "word_ball_elements", counted_ball)
+    return radii, passes
+
+
+@pytest.mark.parametrize("make, scale, last_f", [
+    # z: the bisection kernel; every F is refuted at t = 1
+    (lambda: enumerate_window(Z, 200), SMALL, 3),
+    # z^2: the base kernel's first branch, a pass per step
+    (lambda: enumerate_window(LatticeGroup(2), 40), SMALL, 3),
+    # w2 in z2sum:10: the enlargements outnumber the 56 points, so the
+    # base kernel's second branch sizes them; wordball:2 wins
+    (lambda: resolved("wn", group="z2sum:10", support=2), MEDIUM, 2),
+], ids=["z-window", "z^2-window", "z2sum:10-w2"])
+def test_isolated_balls_sizes_each_word_radius_once(
+        monkeypatch, make, scale, last_f):
+    # F = wordball(r) was sized as wordball(r - 1 + 1), the first
+    # enlargement of the F before it, and is read back, not sized again
+    sample = make()
+    radii, passes = _counted_size_passes(monkeypatch, sample.group)
+    rep = isolated_balls_verdict(sample, scale)
+    assert (rep.winning_f or rep.refutations[-1][0]) == f"wordball:{last_f}"
+    assert len(passes) == len(radii) == len(set(radii))
+    assert set(range(last_f + 2)) <= set(radii)
+
+
+def test_isolated_balls_in_an_ambient_set_reads_each_f_back(monkeypatch):
+    # {2^n < 100} inside the powers of 2: at medium every F up to
+    # wordball:4 reaches t = 81.  Each F is read back, while the size
+    # table, which holds len(rungs) + 1 = 6 radii, sizes an enlargement
+    # again once more radii than that have been used since
+    ambient = resolved("powers", base=2, window=512)
+    sub = FiniteSample(Z, frozenset(x for x in ambient.elements if x < 100),
+                       ambient.window)
+    rep = isolated_balls_verdict(sub, SMALL, ambient=ambient)
+    assert rep.to_json_dict(Z) == {
+        "kind": "isolated-balls", "verdict": "HAS_ISOLATED_BALLS",
+        "winning_radius": "wordball:0",
+        "isolated_counts": [
+            {"enlargement": f"wordball:0+wordball:{t}", "count": c}
+            for t, c in [(1, "5"), (3, "4"), (9, "2"), (27, "1")]],
+        "isolated_sample": ["64"], "refutations": [], "interior_size": "7",
+        "scale": "small", "universe": "AMBIENT"}
+    radii, passes = _counted_size_passes(monkeypatch, Z)
+    rep = isolated_balls_verdict(sub, MEDIUM, ambient=ambient)
+    assert rep.verdict == "NO_ISOLATED_BALLS_AT_SCALE"
+    assert rep.refutations == tuple(
+        (f"wordball:{r}", f"wordball:{r}+wordball:{t}")
+        for r, t in [(0, 81), (1, 81), (2, 81), (3, 81), (4, 81), (5, 27)])
+    assert rep.interior_size == 7
+    # one pass per enlargement at most: no F costs a pass of its own
+    enlargements = 5 * 5 + 4
+    assert len(passes) == len(radii) <= 1 + enlargements
+    assert set(range(MEDIUM.f_max + 1)) <= set(radii)
+
+
 def test_isolated_balls_rejects_an_ambient_of_another_group():
     # z2sum:5 holds the same integers, so the subset check alone passes
     sample = FiniteSample(Z, frozenset(range(32)), 128)

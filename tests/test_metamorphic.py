@@ -276,21 +276,10 @@ def _classify_summary(name, budget, family):
             rep["pwip"]["max_depth"])
 
 
-# the only set on which free:1 answers as z does, at both budgets
-FREE1_AGREES = {"window-200"}
-
-
 def _isomorphism_params(family):
     for name in Z_SETS:
         for budget in ("small", "medium"):
-            marks = ()
-            if family == "free:1" and name not in FREE1_AGREES:
-                marks = pytest.mark.xfail(
-                    strict=True, raises=AssertionError,
-                    reason="FreeGroup.enlarged_extent adds 1 where z grows "
-                    "the window 4x, and FreeGroup.clamp_ladder uses rungs "
-                    "1, 2, ... where z uses 1, 3, 9, ...")
-            yield pytest.param(family, name, budget, marks=marks,
+            yield pytest.param(family, name, budget,
                                id=f"{family}-{name}-{budget}")
 
 
@@ -325,11 +314,8 @@ def test_right_translation_preserves_ball_sizes(name, data):
              Radius(group, data.draw(st.frozensets(elements, max_size=8)))]
     for radius in radii:
         steps = radius.elements | {group.identity()}
-        sizes = group.ball_sizes(sample, points, steps)
-        moved = group.ball_sizes(shifted, [group.mul(p, h) for p in points],
-                                 steps)
-        assert [sizes[p] for p in points] == \
-            [moved[group.mul(p, h)] for p in points]
+        assert group.ball_sizes(sample, points, steps) == group.ball_sizes(
+            shifted, [group.mul(p, h) for p in points], steps)
 
 
 # name -> (group, element strategy on a universe small enough that

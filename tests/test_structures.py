@@ -379,7 +379,7 @@ def test_detect_pwip_is_the_walks_witness_at_its_depth(family, data):
         assert witness.validate(elems)
     if depth < top and 2 ** (depth + 1) - 1 <= len(elems):
         assert detect_pwip(sample, depth + 1, scale) is None
-        if len(sample.quotient_pool(cap)) < cap:
+        if len(sample.group.quotient_pool(sample.ordered, cap)) < cap:
             assert not oracles.pwip_exists(group, elems, depth + 1)
 
 
@@ -392,7 +392,7 @@ def test_walk_stops_short_only_without_a_witness(elems, top):
     # every quotient in its pool; the oracle must find no deeper witness
     sample = FiniteSample(Z, elems)
     scale = dataclasses.replace(preset("small"), pool_cap=4096)
-    assert len(sample.quotient_pool(4096)) < 4096
+    assert len(sample.group.quotient_pool(sample.ordered, 4096)) < 4096
     depth, witness = deepest_pwip(sample, top, scale)
     assert witness == detect_pwip(sample, depth, scale)
     assert witness.validate(elems)
@@ -550,7 +550,8 @@ def test_pwip_search_draws_t_from_the_pool():
     # cands outnumber the pool, so most t fail the pool filter
     sample = FiniteSample(Z, frozenset(range(-40, 41)))
     scale = dataclasses.replace(preset("small"), pool_cap=5)
-    assert sample.quotient_pool(5) == [0, -1, 1, -2, 2]
+    assert sample.group.quotient_pool(sample.ordered, 5) == \
+        [0, -1, 1, -2, 2]
     witness = detect_pwip(sample, 3, scale)
     assert witness.gens == (1, 2, 0)
     assert witness.validate(sample.elements)
@@ -719,3 +720,8 @@ def test_classify_and_density_build_one_pool_per_sample(monkeypatch):
                                      scale=preset("small"))
     assert report["achieved_depth"] == "2"
     assert calls == [64]
+    calls.clear()
+    # each detect_pwip call is one walk, with one pool of its own
+    for depth in (1, 2, 3):
+        assert detect_pwip(sample, depth, preset("small")) is not None
+    assert calls == [64, 64, 64]
