@@ -11,11 +11,10 @@ carries the scale it was computed at.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, compress, count, islice, repeat
+from operator import is_, not_
 
 from . import structures
-from .geometry import word_radius
 from .groups import FiniteSample, GroupError, word_ball_elements
 
 
@@ -42,45 +41,73 @@ class ThinReport:
         }
 
 
-def thin_degree(sample, radius, scale):
-    """Least n >= 1 whose exceptional set (interior points with F-ball
-    larger than n) is identical across two nested windows.
+def _thin_reports(windows, sized):
+    """One ThinReport per (label, inner sizes, outer sizes) of ``sized``,
+    the F-ball sizes of the two ``windows``' interiors at one radius F.
 
-    With a and b the F-ball sizes of a point in the two windows, n is at
-    least the size of every point interior to one window only, and lies
-    outside [min(a, b), max(a, b)) for every point interior to both with
-    a != b.  Sweeping those intervals in order of their lower ends moves
-    n past each one that holds it, and the exceptional set is built at
-    that n alone.  The sets agree at that n, so the report is always
-    ``stable``."""
+    The degree is the least n >= 1 whose exceptional set (interior points
+    with F-ball larger than n) is identical across the two windows.  With
+    a and b a point's sizes in the two windows, n is at least the size of
+    every point interior to one window only, and lies outside
+    [min(a, b), max(a, b)) for every point interior to both with a != b.
+    Sweeping those intervals in order of their lower ends moves n past
+    each one that holds it, and the exceptional set is built at that n
+    alone.  The windows are joined by point once, for every radius, from
+    a dict of the inner interior: the outer one is the larger, up to
+    4^d times as large on z^d."""
+    (_, inner), (_, outer) = windows
+    where = dict(zip(inner, count()))
+    hits = list(map(where.get, outer))
+    outer_only = list(map(is_, hits, repeat(None)))
+    shared_j = list(compress(count(), map(not_, outer_only)))
+    shared_i = list(map(hits.__getitem__, shared_j))
+    inner_only = set(range(len(inner))).difference(shared_i)
+    for label, a, b in sized:
+        n = max(chain((1,), map(a.__getitem__, inner_only),
+                      compress(b, outer_only)))
+        gaps = sorted((min(x, y), max(x, y)) for x, y in zip(
+            map(a.__getitem__, shared_i), map(b.__getitem__, shared_j))
+            if x != y)
+        for lo, hi in gaps:
+            if lo > n:
+                break
+            n = max(n, hi)
+        yield ThinReport(label, n, tuple(compress(inner, map(n.__lt__, a))),
+                         len(inner))
+
+
+def thin_degree(sample, radius, scale, upto=None):
+    """The thin degree of the sample at the radius F (see
+    ``_thin_reports``), comparing the sample with its enlarged window at
+    the scale's margin: the steps F u {e} are sized by one ``ball_sizes``
+    pass per window.  The two windows' exceptional sets agree at the
+    degree, so the report is always ``stable``.
+
+    ``classify`` passes ``upto`` = R and no radius: the same degree sweep
+    then runs over every word radius 0..R, sized by one
+    ``Group.ball_size_sweep`` per window, and returns the list of reports
+    with the inner window's size lists, which the isolated-balls verdict
+    reads F from."""
     if not sample.elements:
         raise GroupError("thin degree needs a nonempty sample")
     group = sample.group
-    if radius.group != group:
+    if upto is None and radius.group != group:
         raise GroupError("radius belongs to a different group")
     margin = scale.margin_for(group)
     interior = sample.interior(margin)
     if not interior:
         raise GroupError("window too small for the interior margin")
     outer = sample.outer
-    steps = radius.elements | {group.identity()}
-    # the windows are joined by point; a dict keeps the interior's order
-    inner_sizes, outer_sizes = (
-        dict(zip(points, group.ball_sizes(window, points, steps)))
-        for window, points in ((sample, interior),
-                               (outer, outer.interior(margin))))
-    n = max(chain((1,),
-                  (a for y, a in inner_sizes.items() if y not in outer_sizes),
-                  (b for y, b in outer_sizes.items() if y not in inner_sizes)))
-    gaps = sorted((min(a, b), max(a, b)) for y, a in inner_sizes.items()
-                  if (b := outer_sizes.get(y, a)) != a)
-    for lo, hi in gaps:
-        if lo > n:
-            break
-        n = max(n, hi)
-    return ThinReport(radius.describe(), n,
-                      tuple(y for y, a in inner_sizes.items() if a > n),
-                      len(inner_sizes))
+    windows = (sample, interior), (outer, outer.interior(margin))
+    if upto is None:
+        steps = radius.elements | {group.identity()}
+        [report] = _thin_reports(windows, [(radius.describe(), *(
+            group.ball_sizes(window, points, steps)
+            for window, points in windows))])
+        return report
+    tables = group.ball_size_sweep(windows, upto)
+    labels = (f"wordball:{r}" for r in range(upto + 1))
+    return list(_thin_reports(windows, zip(labels, *tables))), tables[0]
 
 
 @dataclass(frozen=True)
@@ -172,12 +199,14 @@ class IsolatedBallsReport:
         }
 
 
-def isolated_balls_verdict(sample, scale, ambient=None):
+def isolated_balls_verdict(sample, scale, ambient=None, sized=()):
     """Existence of a radius F whose every budget enlargement H leaves
     some interior point with an empty H-minus-F ball.
 
     ``ambient`` switches the ball universe from the sample itself to a
-    supplied superset.
+    supplied superset.  ``sized`` holds the interior's size lists in the
+    universe at word radii 0, 1, ..., already counted (``classify``'s
+    thin sweep); the verdict sizes only the radii past them.
     """
     group = sample.group
     universe = sample if ambient is None else ambient
@@ -192,11 +221,18 @@ def isolated_balls_verdict(sample, scale, ambient=None):
     refutations = []
     universe_name = "SAMPLE" if ambient is None else "AMBIENT"
     rungs = group.clamp_ladder(scale.ladder)
-    # the interior's ball sizes at word radius s, for the last
-    # len(rungs) + 1 radii: every ladder starts at t = 1, so F(r), sized
-    # as the first H of r - 1, is read back
-    sizes = lru_cache(len(rungs) + 1)(lambda s: group.ball_sizes(
-        universe, interior, word_ball_elements(group, s)))
+    # the interior's ball sizes by word radius.  F = wordball(r) asks for
+    # r and r + t (t a rung), so a radius is dropped once no later F can
+    # ask for it, and each is sized once: every ladder starts at t = 1,
+    # so F(r), sized as the first H of r - 1, is read back
+    table = dict(enumerate(sized))
+
+    def sizes(s):
+        if s not in table:
+            table[s] = group.ball_sizes(universe, interior,
+                                        word_ball_elements(group, s))
+        return table[s]
+
     for r in range(scale.f_max + 1):
         f_label = f"wordball:{r}"
         f_sizes = sizes(r)
@@ -217,6 +253,9 @@ def isolated_balls_verdict(sample, scale, ambient=None):
             return IsolatedBallsReport(
                 "HAS_ISOLATED_BALLS", f_label, tuple(counts), tuple(isolated),
                 (), len(interior), scale.name, universe_name)
+        for s in [s for s in table if not any(
+                r < s - t <= scale.f_max for t in (0, *rungs))]:
+            del table[s]
     return IsolatedBallsReport(
         "NO_ISOLATED_BALLS_AT_SCALE", None, (), (), tuple(refutations),
         len(interior), scale.name, universe_name)
@@ -252,13 +291,11 @@ def classify(sample, scale):
         })
         return out
 
-    per_radius = []
-    degree = 0
-    for r in range(scale.f_max + 1):
-        rep = thin_degree(sample, word_radius(group, r), scale)
-        per_radius.append(rep.to_json_dict(group))
-        degree = max(degree, rep.degree)
-    out["thin"] = {"degree": str(degree), "per_radius": per_radius}
+    # the isolated-balls verdict reads its F and first H off the thin
+    # sweep's inner lists
+    reports, inner = thin_degree(sample, None, scale, upto=scale.f_max)
+    out["thin"] = {"degree": str(max(rep.degree for rep in reports)),
+                   "per_radius": [rep.to_json_dict(group) for rep in reports]}
 
     cluster = _largest_cluster(sample, scale)
     full = sparse_witness(sample, sample, scale)
@@ -271,7 +308,7 @@ def classify(sample, scale):
         "probes": [{"x": "full", **full.to_json_dict(group)},
                    {"x": "largest-cluster", **largest.to_json_dict(group)}]}
 
-    iso = isolated_balls_verdict(sample, scale)
+    iso = isolated_balls_verdict(sample, scale, sized=inner)
     out["isolated_balls"] = iso.to_json_dict(group)
 
     max_depth, witness = structures.deepest_pwip(sample, scale.max_depth, scale)

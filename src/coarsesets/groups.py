@@ -16,7 +16,10 @@ overlap-size kernels, and z's quotient pool and overlap sizes read from
 one bit mask of the sample) is a method or attribute of the family's
 Group subclass, so a new family is one new subclass.  Every family has
 its own ``translates``, and free:k its own ``right_translates``, so none
-pays a ``mul`` call per element.  A window is its integer extent, and
+pays a ``mul`` call per element.  ``ball_size_sweep`` is generic: it
+sizes windows at every word radius 0..R in one pass sphere by sphere,
+each sphere sized by the family's ``ball_sizes`` (two set probes per
+point on z).  A window is its integer extent, and
 the group answers every question about it.  ``window_elements``
 generates it in ``sort_key`` order, which a window sample keeps as its
 ``ordered`` tuple, so no window is ever sorted.  ``interior`` is its one
@@ -284,6 +287,25 @@ class Group:
         inv = self.inv
         return [len(steps.intersection(self.right_translates(Y, inv(y))))
                 for y in points]
+
+    def ball_size_sweep(self, windows, radius):
+        """For each (sample, points) pair of ``windows``, points lying in
+        the sample, the ``ball_sizes`` lists at every word radius
+        0..``radius``, in one running pass sphere by sphere.  The list at
+        0 is all ones: each point's ball wordball(0).y = {y} lies in its
+        sample.  The list at r is the one at r - 1 plus the sizes over the
+        sphere wordball(r) - wordball(r - 1), built once for all the
+        windows; on z it is {-r, r}, two set probes per point."""
+        tables = [[[1] * len(points)] for _, points in windows]
+        inner = word_ball_elements(self, 0)
+        for r in range(1, radius + 1):
+            ball = word_ball_elements(self, r)
+            sphere = ball - inner
+            for (sample, points), table in zip(windows, tables):
+                table.append(list(map(add, table[-1], self.ball_sizes(
+                    sample, points, sphere))))
+            inner = ball
+        return tables
 
     def chain_component(self, members, a, steps):
         """The elements of ``members`` reachable from a by steps x -> k.x

@@ -103,16 +103,14 @@ def test_thin_window_too_small():
 
 class _Drawn:
     """Window-scaled test recipe: ``inner`` in the window it was drawn
-    for, and ``inner | extra`` in every other window, so that the
-    enlarged window adds points next to shared interior points."""
+    for, and ``outer`` in every other window, so that the enlarged window
+    adds points next to shared interior points, or drops some."""
 
-    def __init__(self, window, inner, extra):
-        self.window, self.inner, self.extra = window, inner, extra
+    def __init__(self, window, inner, outer):
+        self.window, self.inner, self.outer = window, inner, outer
 
     def resolve(self, group, window):
-        elements = self.inner
-        if window != self.window:
-            elements = elements | self.extra
+        elements = self.inner if window == self.window else self.outer
         return FiniteSample(group, elements, window, self)
 
 
@@ -149,7 +147,9 @@ def test_thin_degree_matches_the_loop_oracle(spec, data):
     extra = data.draw(st.frozensets(st.one_of(
         points(near), points(group.enlarged_extent(window))), max_size=25)
     ) | {group.mul(f, y) for f in steps for y in inner}
-    samples = [_Drawn(window, inner, extra).resolve(group, window),
+    samples = [_Drawn(window, inner, inner | extra).resolve(group, window),
+               # points interior to the drawn window only
+               _Drawn(window, inner | extra, inner).resolve(group, window),
                FiniteSample(group, inner)]
     if spec == "z":
         # a window 64 wider, so that some powers are interior
@@ -392,15 +392,16 @@ def test_isolated_balls_ambient():
 
 
 def _counted_size_passes(monkeypatch, group):
-    """The word radii the isolated-balls verdict sizes, one entry per
-    ``ball_sizes`` pass; the pass is the method the group's class
-    resolves, the ``IntGroup`` override on z and the base elsewhere."""
+    """The word radii the classifiers build, and one (window, steps)
+    entry per ``ball_sizes`` pass; the pass is the method the group's
+    class resolves, the ``IntGroup`` override on z and the base
+    elsewhere."""
     radii, passes = [], []
     cls = type(group)
     size, ball = cls.ball_sizes, classifiers.word_ball_elements
 
     def counted_size(self, sample, points, steps):
-        passes.append(len(steps))
+        passes.append((sample.window, steps))
         return size(self, sample, points, steps)
 
     def counted_ball(group, r):
@@ -435,9 +436,9 @@ def test_isolated_balls_sizes_each_word_radius_once(
 
 def test_isolated_balls_in_an_ambient_set_reads_each_f_back(monkeypatch):
     # {2^n < 100} inside the powers of 2: at medium every F up to
-    # wordball:4 reaches t = 81.  Each F is read back, while the size
-    # table, which holds len(rungs) + 1 = 6 radii, sizes an enlargement
-    # again once more radii than that have been used since
+    # wordball:4 reaches t = 81.  Each F is read back, and the size
+    # table keeps every enlargement that a later F asks for again, such
+    # as 3, the t = 3 rung of F = 0 and the t = 1 rung of F = 2
     ambient = resolved("powers", base=2, window=512)
     sub = FiniteSample(Z, frozenset(x for x in ambient.elements if x < 100),
                        ambient.window)
@@ -457,9 +458,9 @@ def test_isolated_balls_in_an_ambient_set_reads_each_f_back(monkeypatch):
         (f"wordball:{r}", f"wordball:{r}+wordball:{t}")
         for r, t in [(0, 81), (1, 81), (2, 81), (3, 81), (4, 81), (5, 27)])
     assert rep.interior_size == 7
-    # one pass per enlargement at most: no F costs a pass of its own
-    enlargements = 5 * 5 + 4
-    assert len(passes) == len(radii) <= 1 + enlargements
+    # one pass per radius: no F costs a pass of its own, and no
+    # enlargement is sized twice
+    assert len(passes) == len(radii) == len(set(radii))
     assert set(range(MEDIUM.f_max + 1)) <= set(radii)
 
 
@@ -526,6 +527,55 @@ def test_budget_monotonicity():
     w0 = isolated_balls_verdict(win, base).verdict
     if w0 == "NO_ISOLATED_BALLS_AT_SCALE":
         assert isolated_balls_verdict(win, more_h).verdict == w0
+
+
+# classify's thin sweep against thin_degree at each radius: the battery
+# recipes on z and z2sum:8, and ip sets of z^2 and free:2 in a window
+# two past the scale's margin
+SWEEP_RECIPES = {
+    "powers-of-2": ("z", "powers", 512, {"base": 2}),
+    "cantor-auto": ("z", "cantor", 500, {"levels": "auto"}),
+    "z-window": ("z", "window", 128, {}),
+    "evens": ("z", "periodic", 256, {"modulus": 2, "residues": ["0"]}),
+    "w2-sample": ("z2sum:8", "wn", None, {"support": 2}),
+    "z^2-ip": ("z^2", "ip", "margin",
+               {"generators": ["1,0", "0,1", "1,1", "2,-1"]}),
+    "free:2-ip": ("free:2", "ip", "margin",
+                  {"generators": ["a", "bb", "aBa"]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_RECIPES))
+@pytest.mark.parametrize("scale", [SMALL, MEDIUM], ids=["small", "medium"])
+def test_classify_thin_agrees_with_thin_degree(name, scale):
+    spec, kind, window, params = SWEEP_RECIPES[name]
+    group = group_from_spec(spec)
+    if window == "margin":
+        window = scale.margin_for(group) + 2
+    sample = resolved(kind, spec, window, **params)
+    per_radius = classify(sample, scale)["thin"]["per_radius"]
+    assert per_radius == [
+        thin_degree(sample, word_radius(group, r), scale).to_json_dict(group)
+        for r in range(scale.f_max + 1)]
+
+
+def test_classify_sizes_each_word_radius_once_per_window(monkeypatch):
+    # the thin sweep sizes each sphere wordball(r) - wordball(r - 1) once
+    # in each window, and the isolated-balls verdict reads F and its
+    # first H there: it sizes only wordball(f_max + 1), the first H of the
+    # last F, as every F of an interval is refuted at t = 1
+    sample = enumerate_window(Z, 200)
+    radii, passes = _counted_size_passes(monkeypatch, Z)
+    classify(sample, SMALL)
+    balls = [Z.word_ball(r) for r in range(SMALL.f_max + 2)]
+    spheres = [ball - inner for inner, ball in zip(balls, balls[1:-1])]
+    for window in (sample.window, sample.outer.window):
+        steps = [steps for w, steps in passes if w == window]
+        assert len(steps) == len(set(steps))
+        assert set(spheres) <= set(steps)
+    assert [steps for _, steps in passes if steps in balls] == [balls[-1]]
+    assert SMALL.f_max + 1 in radii
+    assert all(r > SMALL.f_max for r in radii)
 
 
 def test_classify_powers():
@@ -603,9 +653,10 @@ def test_classify_probes_a_smaller_cluster_again(monkeypatch):
 
 
 def test_classify_does_not_validate_the_margin_ball(monkeypatch):
-    """Only the thin loop's word radii 0..f_max are validated; the word
-    ball of the margin radius (7 on free:2 at small, 4373 words) that
-    partitions the sample into clusters is not."""
+    """No element is validated: the thin sweep sizes word balls without
+    a ``Radius``, and the word ball of the margin radius (7 on free:2 at
+    small, 4373 words) that partitions the sample into clusters is not
+    validated either."""
     group = FreeGroup(2)
     validated = []
     validate = FreeGroup.validate
@@ -616,5 +667,4 @@ def test_classify_does_not_validate_the_margin_ball(monkeypatch):
 
     monkeypatch.setattr(FreeGroup, "validate", counted)
     classify(FiniteSample(group, frozenset({"a", "b", "ab"})), SMALL)
-    assert len(validated) <= sum(map(group.word_ball_size,
-                                     range(SMALL.f_max + 1)))
+    assert validated == []

@@ -11,7 +11,7 @@ from coarsesets.geometry import (Radius, ball, cellularity_probe,
                                  word_radius)
 from coarsesets.groups import (FiniteSample, FreeGroup, Group, GroupError,
                                IntGroup, LatticeGroup, XorGroup,
-                               enumerate_window)
+                               enumerate_window, word_ball_elements)
 
 from coarsesets.recipes import SetSpec
 
@@ -80,6 +80,35 @@ def test_ball_sizes_match_restricted_balls(family, data):
     steps = radius.elements | {group.identity()}
     assert group.ball_sizes(sample, points, steps) == [
         len(restricted_ball(sample, y, radius)) for y in points]
+
+
+@pytest.mark.parametrize("family", sorted(BALL_FAMILIES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ball_size_sweep_matches_the_word_balls(family, data):
+    """The sweep's list at each word radius r <= R, in each of two
+    windows, is ``ball_sizes`` over wordball(r) and the sizes of the
+    built restricted balls.  A sample of at most three elements is
+    smaller than every sphere past radius 0 (z's {-r, r} when it holds
+    one element), so the spheres take both sides of the base kernel."""
+    group, universe = BALL_FAMILIES[family]
+    elements = st.sampled_from(universe)
+    R = data.draw(st.integers(0, 3))
+    windows = []
+    for _ in range(2):
+        size = data.draw(st.sampled_from([3, 30]))
+        Y = data.draw(st.frozensets(elements, min_size=1, max_size=size))
+        points = data.draw(st.lists(st.sampled_from(group.sorted(Y)),
+                                    max_size=8))
+        windows.append((FiniteSample(group, Y), points))
+    tables = group.ball_size_sweep(windows, R)
+    for (sample, points), table in zip(windows, tables):
+        assert len(table) == R + 1
+        for r, sizes in enumerate(table):
+            steps = word_ball_elements(group, r)
+            assert sizes == group.ball_sizes(sample, points, steps) == [
+                len(oracles.brute_ball(group, y, oracles.bfs_word_ball(
+                    group, r)) & sample.elements) for y in points]
 
 
 def test_ball_sizes_rejects_a_radius_of_another_group():
